@@ -5,7 +5,9 @@ subgroup: the pair (a mod N, c mod N) up to global sign. gamma0 labels
 classify up to the subgroup of matrices with upper-right entry divisible
 by N: the orbit of the reduced point in P1(Z/N) under the lower-triangular
 determinant-one action, computed by explicit enumeration and memoized per
-level. miss_scan reports which labels a group's cusp set reaches.
+level. miss_scan reports which labels a group's cusp set reaches: it labels
+every enumerated cusp c and its translates c + k*2t over one exact period
+of k, q*L/gcd(L, p) for 2t = p/q at level L, as integer pairs.
 """
 
 from __future__ import annotations
@@ -274,8 +276,12 @@ def miss_scan(
     """Compute labels of all enumerated cusps and their translates at level
     n**j and report hit and unhit labels.
 
-    The label of c + k*2t is periodic in k with period dividing
-    level * den(2t), so exactly one period is enumerated per cusp.
+    With 2t = p/q and level L, the translates c + k*2t and c + (k + P)*2t
+    with P = q*L/gcd(L, p) differ by lcm(L, p), an integer divisible by L,
+    so the label of c + k*2t has period P in k. The first k of every label
+    therefore lies in [0, P), and exactly one period is enumerated per cusp.
+    The translates are integer pairs; when q = 1 they are already in lowest
+    terms.
     """
     _require_level(n)
     if j < 1:
@@ -283,21 +289,27 @@ def miss_scan(
     level = n ** j
     all_labels = enumerate_labels(flavor, level)
     bfs = cusp_bfs(g, depth, budget, cache_path)
-    period = level * g.two_t.denominator
+    p, q = g.two_t.numerator, g.two_t.denominator
+    period = q * level // gcd(level, p)
     total = len(all_labels)
     hit: dict[OrbitLabel, tuple[Fraction, int]] = {}
     label_memo: dict[tuple[int, int], OrbitLabel] = {}
-    for rec in bfs.finite_points():
-        c0 = rec.point.to_rational()
+    for _, a, b in bfs.finite_pairs():
+        # c0 + k*2t = (a*q + k*p*b) / (b*q)
+        num, den, step = a * q, b * q, p * b
         for k in range(period):
-            x = c0 + k * g.two_t
-            pair = (x.numerator % level, x.denominator % level)
+            xn, xd = num, den
+            if q != 1:
+                h = gcd(num, den)
+                xn, xd = num // h, den // h
+            num += step
+            pair = (xn % level, xd % level)
             label = label_memo.get(pair)
             if label is None:
-                label = label_of_pair(flavor, x.numerator, x.denominator, level)
+                label = label_of_pair(flavor, xn, xd, level)
                 label_memo[pair] = label
             if label not in hit:
-                hit[label] = (c0, k)
+                hit[label] = (Fraction(a, b), k)
                 if len(hit) == total:
                     break
         if len(hit) == total:

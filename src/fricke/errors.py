@@ -17,6 +17,10 @@ class InvalidGroupError(ParameterError):
     """Group parameters violate the defining constraint 0 < u2 < t - 1."""
 
 
+class CacheError(FrickeError, ValueError):
+    """An orbit cache file holds a run that is cut short or malformed."""
+
+
 class EmptyPredicateError(FrickeError):
     """A sampler could not find any rational satisfying a predicate within its retry budget."""
 

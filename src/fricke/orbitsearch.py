@@ -2,8 +2,13 @@
 
 The cusp set of a group here is the orbit of infinity. Finite cusps are
 stored by their canonical representative modulo the translation by 2t,
-reduced into [0, 2t); witness words are adjusted by powers of the parabolic
-word so that they map infinity to the stored representative exactly.
+reduced into [0, 2t), as an integer pair (num, den). One letter step,
+_letter_step, applies a generator to such a pair and reduces the image
+modulo 2t = p/q with one integer floor division and one gcd; cusp_bfs and
+cusp_test both use it. Witness words are adjusted by powers of the
+parabolic word so that they map infinity to the stored representative
+exactly; cusp_bfs builds them lazily from parent pointers (see orbitstore),
+and the probes read only the integer columns until they have a hit.
 
 Positive probe answers (Found, Cusp, Special) are sound and re-verified
 before being returned; negative answers (NotFoundAtDepth, Unknown) are
@@ -13,11 +18,10 @@ evidence bounded by the search depth, never proof.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InternalCheckError, ParameterError
 from .exactnum import (
@@ -26,8 +30,6 @@ from .exactnum import (
     Rational,
     ball_trace_contains,
     format_rational,
-    parse_point,
-    point_of,
     reduce_point,
     require_prime,
     vp,
@@ -35,15 +37,22 @@ from .exactnum import (
 from .groups import (
     ElementClass,
     FrickeGroup,
-    PARABOLIC_WORD,
-    TRANSLATION_WORD,
     apply,
     classify_element,
     mat_mul,
     word_matrix,
     IDENTITY,
 )
-from .words import INVERSE, LETTERS, Word, concat, invert_word, parity, parse_word
+from .orbitstore import (  # CuspRecord and the cache functions are re-exported
+    BfsResult,
+    PARITY_FLIP,
+    PARITY_TAGS,
+    CuspRecord,
+    _translation_word,
+    append_bfs_cache,
+    load_cached_bfs,
+)
+from .words import INVERSE, LETTERS, Word, concat, invert_word
 
 DEFAULT_NODE_BUDGET = 250_000
 
@@ -59,39 +68,33 @@ def reduce_mod_translation(g: FrickeGroup, x: Rational) -> tuple[Fraction, int]:
     return x - k * g.two_t, int(k)
 
 
-def _translation_word(k: int) -> Word:
-    # the parabolic word shifts by -2t, its inverse by +2t
-    if k >= 0:
-        return PARABOLIC_WORD * k
-    return TRANSLATION_WORD * (-k)
+def _letter_step(
+    m: tuple[int, int, int, int], p: int, q: int, xn: int, xd: int
+) -> tuple[int, int, int] | None:
+    """Apply the letter matrix m to xn/xd (infinity is 1/0) and reduce the
+    image modulo the translation 2t = p/q.
+
+    Returns None when the image is infinity, else (rn, rd, k) with the image
+    equal to rn/rd + k*2t, rn/rd in lowest terms, rd > 0 and rn/rd in [0, 2t).
+    """
+    a, b, c, d = m
+    yn = a * xn + b * xd
+    yd = c * xn + d * xd
+    if yd == 0:
+        return None
+    if yd < 0:
+        yn, yd = -yn, -yd
+    # floor(y / 2t) and y - k*2t over the common denominator yd*q
+    k = yn * q // (yd * p)
+    rn = yn * q - k * p * yd
+    rd = yd * q
+    h = gcd(rn, rd)
+    return rn // h, rd // h, k
 
 
 # ---------------------------------------------------------------------------
 # breadth-first cusp enumeration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class CuspRecord:
-    """One cusp with a witness word mapping infinity to it exactly."""
-
-    point: ProjPoint
-    witness: Word
-    depth: int
-    parity_tag: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class BfsResult:
-    u2: Fraction
-    two_t: Fraction
-    depth: int
-    budget: int
-    records: tuple[CuspRecord, ...]
-    truncated: bool
-
-    def finite_points(self) -> Iterator[CuspRecord]:
-        return (r for r in self.records if not r.point.is_infinity)
-
 
 def _letter_pairs(g: FrickeGroup) -> list[tuple[str, tuple[int, int, int, int]]]:
     return [(ch, tuple(g.letter_matrix(ch))) for ch in LETTERS]
@@ -114,6 +117,7 @@ def cusp_bfs(
     deterministic (discovery order, letters in the order A, a, B, b). A
     budget stop marks the result truncated. Runs whose parameters match a
     cached run exactly are loaded from the cache instead of recomputed.
+    Witness words are built lazily from parent pointers (see BfsResult).
     """
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
@@ -131,60 +135,53 @@ def cusp_bfs(
         if memoized is not None:
             return memoized
 
-    letters = _letter_pairs(g)
-    T = g.two_t
-    root = CuspRecord(INFINITY, "", 0, (0, 0))
-    records: list[CuspRecord] = [root]
-    # key: (num, den) of the reduced representative; infinity key is None
-    seen: dict[tuple[int, int] | None, tuple[int, int]] = {None: (0, 0)}
-    frontier: list[tuple[Fraction | None, Word]] = [(None, "")]
+    steps = [(ch, m, PARITY_FLIP[ch]) for ch, m in _letter_pairs(g)]
+    p, q = g.two_t.numerator, g.two_t.denominator
+    nums, dens, depths, tags = [1], [0], [0], [0]
+    parents, letters, shifts = [-1], [""], [0]
+    # key: (num, den) of the reduced representative; infinity is (1, 0)
+    seen: dict[tuple[int, int], int] = {(1, 0): 0}
     truncated = False
+    lo, hi = 0, 1  # the records of the previous level
 
     for level in range(1, depth + 1):
-        if truncated or not frontier:
+        if truncated or lo == hi:
             break
-        nxt: list[tuple[Fraction | None, Word]] = []
-        for x, w in frontier:
+        for i in range(lo, hi):
             if truncated:
                 break
-            if x is None:
-                xn, xd = 1, 0
-            else:
-                xn, xd = x.numerator, x.denominator
-            wp = parity(w)
-            for ch, (a, b, c, d) in letters:
-                yn = a * xn + b * xd
-                yd = c * xn + d * xd
-                if yd == 0:
+            xn, xd, wp = nums[i], dens[i], tags[i]
+            for ch, m, flip in steps:
+                step = _letter_step(m, p, q, xn, xd)
+                if step is None:
                     continue  # back to infinity, already recorded
-                y = Fraction(yn, yd)
-                k = y // T
-                rep = y - k * T
-                key = (rep.numerator, rep.denominator)
-                tag = (wp[0] ^ (ch in "Aa"), wp[1] ^ (ch in "Bb"))
+                rn, rd, k = step
+                key = (rn, rd)
+                tag = wp ^ flip
                 prev = seen.get(key)
                 if prev is not None:
                     if prev != tag:
                         raise InternalCheckError(
-                            f"cusp {rep} reached with parities {prev} and {tag}"
+                            f"cusp {format_rational(Fraction(rn, rd))} reached with "
+                            f"parities {PARITY_TAGS[prev]} and {PARITY_TAGS[tag]}"
                         )
                     continue
-                if len(records) >= budget:
+                if len(nums) >= budget:
                     truncated = True
                     break
-                witness = concat(_translation_word(int(k)), ch, w)
                 seen[key] = tag
-                records.append(CuspRecord(point_of(rep), witness, level, tag))
-                nxt.append((rep, witness))
-        frontier = nxt
+                nums.append(rn)
+                dens.append(rd)
+                depths.append(level)
+                tags.append(tag)
+                parents.append(i)
+                letters.append(ch)
+                shifts.append(k)
+        lo, hi = hi, len(nums)
 
     result = BfsResult(
-        u2=g.u2,
-        two_t=g.two_t,
-        depth=depth,
-        budget=budget,
-        records=tuple(records),
-        truncated=truncated,
+        g.u2, g.two_t, depth, budget, truncated, nums, dens, depths, tags,
+        [""] + [None] * (len(nums) - 1), parents, letters, shifts,
     )
     if cache_path:
         append_bfs_cache(cache_path, result)
@@ -197,71 +194,6 @@ def _remember_bfs(key: tuple, result: BfsResult) -> None:
     if key not in _BFS_MEMO and len(_BFS_MEMO) >= _BFS_MEMO_CAP:
         _BFS_MEMO.pop(next(iter(_BFS_MEMO)))
     _BFS_MEMO[key] = result
-
-
-# ---------------------------------------------------------------------------
-# orbit cache (append-only, exact parameter match)
-# ---------------------------------------------------------------------------
-
-def _cache_header(result_or_params) -> str:
-    u2, two_t, depth, budget = result_or_params
-    return (
-        f"#bfs u2={format_rational(u2)} twot={format_rational(two_t)} "
-        f"depth={depth} budget={budget}"
-    )
-
-
-def append_bfs_cache(path: str, result: BfsResult) -> None:
-    """Append one completed run; the file is never rewritten."""
-    lines = [
-        _cache_header((result.u2, result.two_t, result.depth, result.budget))
-        + f" truncated={int(result.truncated)} records={len(result.records)}"
-    ]
-    for r in result.records:
-        lines.append(f"{r.point}\t{r.witness}\t{r.depth}\t{r.parity_tag[0]},{r.parity_tag[1]}")
-    with open(path, "a", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_cached_bfs(
-    path: str, g: FrickeGroup, depth: int, budget: int
-) -> BfsResult | None:
-    """Return the first cached run matching the parameters exactly, if any."""
-    if not os.path.exists(path):
-        return None
-    want = _cache_header((g.u2, g.two_t, depth, budget))
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("#bfs "):
-            head, _, tail = line.rpartition(" truncated=")
-            if head == want:
-                trunc_s, records_s = tail.split(" records=")
-                count = int(records_s)
-                records = []
-                for rec_line in lines[i + 1 : i + 1 + count]:
-                    pt_s, word_s, depth_s, parity_s = rec_line.split("\t")
-                    e1, e2 = parity_s.split(",")
-                    records.append(
-                        CuspRecord(
-                            point=parse_point(pt_s),
-                            witness=parse_word(word_s),
-                            depth=int(depth_s),
-                            parity_tag=(int(e1), int(e2)),
-                        )
-                    )
-                return BfsResult(
-                    u2=g.u2,
-                    two_t=g.two_t,
-                    depth=depth,
-                    budget=budget,
-                    records=tuple(records),
-                    truncated=bool(int(trunc_s)),
-                )
-        i += 1
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -287,59 +219,64 @@ def cusp_test(
     """Best-first search from x toward infinity.
 
     States are translation-reduced; the priority is the denominator of the
-    state, so the search follows a height descent. Two distinct arrival
-    words at one state compose to a stabilizer of x; a hyperbolic stabilizer
-    makes x a special point.
+    state, so the search follows a height descent. A letter takes a state s
+    to infinity through a translate when s - j*2t is the letter's pole for
+    some j, so each letter's pole is reduced modulo 2t once. Two distinct
+    arrival words at one state compose to a stabilizer of x; a hyperbolic
+    stabilizer makes x a special point.
     """
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
     if x.is_infinity:
         return CuspTestResult("cusp", witness="", depth=0)
 
-    letters = _letter_pairs(g)
+    p, q = g.two_t.numerator, g.two_t.denominator
+    steps = []
+    for ch, m in _letter_pairs(g):
+        pole, j = None, 0
+        if m[2]:
+            # the pole -d/c of the letter is rep - j*2t
+            rep, k = reduce_mod_translation(g, Fraction(-m[3], m[2]))
+            pole, j = (rep.numerator, rep.denominator), -k
+        steps.append((ch, m, pole, j))
     rep0, k0 = reduce_mod_translation(g, x.to_rational())
     w0 = _translation_word(k0)
     # state key -> arrival word (maps x to the state exactly)
     seen: dict[tuple[int, int], Word] = {(rep0.numerator, rep0.denominator): w0}
     counter = 0
-    heap: list[tuple[int, int, int, Fraction, Word]] = [
-        (rep0.denominator, 0, counter, rep0, w0)
+    heap: list[tuple[int, int, int, int, Word]] = [
+        (rep0.denominator, 0, counter, rep0.numerator, w0)
     ]
     nodes = 0
     while heap and nodes < budget:
-        _, d, _, cur, w = heapq.heappop(heap)
+        sd, d, _, sn, w = heapq.heappop(heap)
         if d >= depth:
             continue
         nodes += 1
-        xn, xd = cur.numerator, cur.denominator
-        for ch, (a, b, c, dd) in letters:
-            yn = a * xn + b * xd
-            yd = c * xn + dd * xd
-            if yd == 0:
-                # reached infinity: w' maps x to infinity
-                witness = invert_word(concat(ch, w))
+        for ch, m, pole, j in steps:
+            if (sn, sd) == pole:
+                # w' maps x to infinity through the translate s - j*2t
+                witness = invert_word(concat(ch, _translation_word(j), w))
                 if apply(word_matrix(g, witness), INFINITY) != x:
                     raise InternalCheckError("cusp witness failed verification")
                 return CuspTestResult("cusp", witness=witness, depth=d + 1)
-            y = Fraction(yn, yd)
-            k = y // g.two_t
-            rep = y - k * g.two_t
-            key = (rep.numerator, rep.denominator)
-            w2 = concat(_translation_word(int(k)), ch, w)
+            rn, rd, k = _letter_step(m, p, q, sn, sd)  # finite: s is not the pole
+            key = (rn, rd)
+            w2 = concat(_translation_word(k), ch, w)
             w1 = seen.get(key)
             if w1 is not None:
                 stab = concat(invert_word(w1), w2)
                 if stab:
-                    m = word_matrix(g, stab)
+                    mat = word_matrix(g, stab)
                     if (
-                        classify_element(m) is ElementClass.HYPERBOLIC
-                        and apply(m, x) == x
+                        classify_element(mat) is ElementClass.HYPERBOLIC
+                        and apply(mat, x) == x
                     ):
                         return CuspTestResult("special", witness=stab, depth=d + 1)
                 continue
             seen[key] = w2
             counter += 1
-            heapq.heappush(heap, (rep.denominator, d + 1, counter, rep, w2))
+            heapq.heappush(heap, (rd, d + 1, counter, rn, w2))
     return CuspTestResult("unknown", depth=depth)
 
 
@@ -457,10 +394,13 @@ def adelic_probe(
     lattice = _rational_lattice_gcd(m, g.two_t)
     s = g.two_t / m
     a, b = s.numerator, s.denominator
-    for rec in bfs.finite_points():
-        c0 = rec.point.to_rational()
-        if ((c0 - x) / lattice).denominator != 1:
+    xn, xd = x.numerator, x.denominator
+    ln, ld = lattice.numerator, lattice.denominator
+    for i, cn, cd in bfs.finite_pairs():
+        # (c0 - x) / lattice = (cn*xd - xn*cd) * ld / (cd*xd*ln) is an integer
+        if (cn * xd - xn * cd) * ld % (cd * xd * ln):
             continue
+        c0 = Fraction(cn, cd)
         r = (c0 - x) / m
         e, f = r.numerator, r.denominator
         # f divides b here; solve k*a/b = -e/f (mod 1)
@@ -473,7 +413,7 @@ def adelic_probe(
             cusp=cusp,
             offset=k,
             base_point=c0,
-            witness=rec.witness,
+            witness=bfs.witness(i),
             depth=bfs.depth,
             truncated=bfs.truncated,
         )
@@ -523,10 +463,12 @@ def padic_probe(
     targets = normalize_targets(targets)
     bfs = cusp_bfs(g, depth, budget, cache_path)
     a, b = g.two_t.numerator, g.two_t.denominator
-    for rec in bfs.finite_points():
-        c0 = rec.point.to_rational()
-        diff = c0 - y
-        e, f = diff.numerator, diff.denominator
+    yn, yd = y.numerator, y.denominator
+    for i, cn, cd in bfs.finite_pairs():
+        # c0 - y = e/f in lowest terms, f > 0
+        e, f = cn * yd - yn * cd, cd * yd
+        h = gcd(e, f)
+        e, f = e // h, f // h
         A = a * f
         B = e * b
         congruences: list[tuple[int, int]] = []
@@ -558,6 +500,7 @@ def padic_probe(
         if not feasible:
             continue
         j, _ = _crt(congruences)
+        c0 = Fraction(cn, cd)
         cusp = c0 + j * g.two_t
         z = cusp - y
         for p, k in targets:
@@ -568,7 +511,7 @@ def padic_probe(
             cusp=cusp,
             offset=j,
             base_point=c0,
-            witness=rec.witness,
+            witness=bfs.witness(i),
             depth=bfs.depth,
             truncated=bfs.truncated,
         )

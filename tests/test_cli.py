@@ -223,10 +223,25 @@ def test_console_script_is_installed():
     assert json.loads(proc.stdout)["result"]["conclusion"] == "not_pseudomodular"
 
 
-def test_output_is_independent_of_hash_randomization():
-    # run the CLI module of the imported source tree, installed or not
+def _source_pythonpath():
+    # the imported source tree, installed or not
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(fricke.__file__)))
-    pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    return os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+
+
+def test_python_dash_m_fricke_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
+    proc = subprocess.run(
+        [sys.executable, "-m", "fricke", "classify", "--u2", "1/4", "--twot", "4",
+         "--format", "structured"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert structured(proc.stdout)["result"]["conclusion"] == "not_pseudomodular"
+
+
+def test_output_is_independent_of_hash_randomization():
+    pythonpath = _source_pythonpath()
     argv = [sys.executable, "-m", "fricke.cli", "scan", "special", "--u2", "6/11",
             "--twot", "6", "--maxlen", "5", "--format", "structured"]
     outs = []

@@ -20,6 +20,7 @@ from fricke.congruence import (
 from fricke.errors import ParameterError
 from fricke.exactnum import INFINITY, point_of, reduce_point
 from fricke.groups import make_group
+from fricke.orbitsearch import cusp_bfs
 
 FLAGSHIP = make_group(Fraction(6, 11), 6)
 MODSUB = make_group(1, 6)
@@ -260,6 +261,41 @@ def test_miss_scan_fractional_translation_period():
     for label, (c0, k) in report.hit.items():
         x = c0 + k * g.two_t
         assert label_of_pair(GAMMA, x.numerator, x.denominator, 3) == label
+
+
+def _brute_miss_scan(g, flavor, level, depth):
+    """Label every translate c0 + k*2t over the full window level * den(2t),
+    in Fraction arithmetic: (hit items in order, unhit labels)."""
+    labels = enumerate_labels(flavor, level)
+    hit = {}
+    for rec in cusp_bfs(g, depth).finite_points():
+        c0 = rec.point.to_rational()
+        for k in range(level * g.two_t.denominator):
+            x = c0 + k * g.two_t
+            hit.setdefault(label_of_pair(flavor, x.numerator, x.denominator, level), (c0, k))
+        if len(hit) == len(labels):
+            break
+    return list(hit.items()), tuple(lbl for lbl in labels if lbl not in hit)
+
+
+@pytest.mark.parametrize("u2, two_t, flavor, n, j", [
+    (Fraction(1, 4), 4, GAMMA, 2, 2),        # 2t = 0 mod level
+    (Fraction(1, 4), 4, GAMMA0, 2, 2),
+    (Fraction(1, 4), 18, GAMMA0, 3, 2),      # 2t = 0 mod level
+    (Fraction(1, 4), 18, GAMMA, 3, 1),
+    (Fraction(6, 11), 6, GAMMA, 33, 1),      # gcd(level, 2t) = 3
+    (Fraction(6, 11), 6, GAMMA0, 5, 1),
+    (Fraction(2, 3), Fraction(11, 2), GAMMA, 5, 1),
+    (Fraction(2, 3), Fraction(11, 2), GAMMA0, 11, 1),  # num(2t) = level
+    (Fraction(2, 3), Fraction(11, 2), GAMMA0, 3, 1),
+    (Fraction(2, 3), Fraction(11, 2), GAMMA, 2, 2),
+])
+def test_miss_scan_matches_full_window_oracle(u2, two_t, flavor, n, j):
+    g = make_group(u2, two_t)
+    report = miss_scan(g, flavor, n, j, depth=5)
+    hit, unhit = _brute_miss_scan(g, flavor, n ** j, 5)
+    assert list(report.hit.items()) == hit
+    assert report.unhit == unhit
 
 
 def test_orbit_label_ordering_and_str():

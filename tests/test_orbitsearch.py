@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fricke.errors import ParameterError
+from fricke.cli import main
+from fricke.errors import CacheError, ParameterError
 from fricke.exactnum import (
     INFINITY,
     ball_trace_contains,
@@ -11,6 +12,8 @@ from fricke.exactnum import (
     vp,
 )
 from fricke.groups import (
+    PARABOLIC_WORD,
+    TRANSLATION_WORD,
     ElementClass,
     apply,
     classify_element,
@@ -18,6 +21,7 @@ from fricke.groups import (
     word_matrix,
 )
 from fricke.orbitsearch import (
+    DEFAULT_NODE_BUDGET,
     CuspTestResult,
     adelic_probe,
     cusp_bfs,
@@ -28,7 +32,7 @@ from fricke.orbitsearch import (
     reduce_mod_translation,
     special_point_scan,
 )
-from fricke.words import parity
+from fricke.words import concat, parity
 
 FLAGSHIP = make_group(Fraction(6, 11), 6)
 MODSUB = make_group(1, 6)  # inside the modular group; cusp set is all of Q
@@ -98,6 +102,73 @@ def test_bfs_deterministic():
     assert a.records == b.records
 
 
+def _fraction_bfs(g, depth, budget):
+    """The Fraction BFS that the integer-pair kernel replaced, as an oracle:
+    (point, witness, depth, parity_tag) per record, and the truncation flag."""
+    letters = [(ch, tuple(g.letter_matrix(ch))) for ch in "AaBb"]
+    T = g.two_t
+    records = [(INFINITY, "", 0, (0, 0))]
+    seen = {None: (0, 0)}
+    frontier = [(None, "")]
+    truncated = False
+    for level in range(1, depth + 1):
+        if truncated or not frontier:
+            break
+        nxt = []
+        for x, w in frontier:
+            if truncated:
+                break
+            xn, xd = (1, 0) if x is None else (x.numerator, x.denominator)
+            wp = parity(w)
+            for ch, (a, b, c, d) in letters:
+                yn = a * xn + b * xd
+                yd = c * xn + d * xd
+                if yd == 0:
+                    continue
+                y = Fraction(yn, yd)
+                k = int(y // T)
+                rep = y - k * T
+                key = (rep.numerator, rep.denominator)
+                tag = (wp[0] ^ (ch in "Aa"), wp[1] ^ (ch in "Bb"))
+                prev = seen.get(key)
+                if prev is not None:
+                    assert prev == tag
+                    continue
+                if len(records) >= budget:
+                    truncated = True
+                    break
+                shift = PARABOLIC_WORD * k if k >= 0 else TRANSLATION_WORD * (-k)
+                witness = concat(shift, ch, w)
+                seen[key] = tag
+                records.append((point_of(rep), witness, level, tag))
+                nxt.append((rep, witness))
+        frontier = nxt
+    return records, truncated
+
+
+@pytest.mark.parametrize("u2, two_t", [
+    (Fraction(6, 11), 6), (Fraction(1, 4), 4), (1, 6), (Fraction(2, 3), Fraction(11, 2)),
+])
+def test_bfs_matches_fraction_oracle(u2, two_t):
+    g = make_group(u2, two_t)
+    # budgets no other test uses, so the in-process memo holds no run whose
+    # witnesses are already built
+    for depth, budget in ((5, 10**6), (7, 1234)):
+        want, want_truncated = _fraction_bfs(g, depth, budget)
+        res = cusp_bfs(g, depth, budget)
+        # build a deep witness and one mid-chain before the rest, so the
+        # parent-chain walk runs on records whose parents are not built yet
+        last = len(want) - 1
+        assert res.witness(last) == want[last][1]
+        assert res.witness(last // 2) == want[last // 2][1]
+        got = [(r.point, r.witness, r.depth, r.parity_tag) for r in res.records]
+        assert got == want
+        assert res.truncated == want_truncated
+    # the budget cut falls inside a level: its last level is not closed
+    full, _ = _fraction_bfs(g, want[-1][2], DEFAULT_NODE_BUDGET)
+    assert want_truncated and len(want) < len(full)
+
+
 def test_bfs_rejects_bad_args():
     with pytest.raises(ParameterError):
         cusp_bfs(FLAGSHIP, -1)
@@ -139,6 +210,31 @@ def test_bfs_cache_file_format(tmp_path):
     assert fields[0] in {"2", "6/11"} or "/" in fields[0] or fields[0].isdigit()
 
 
+def _cached_lines(tmp_path):
+    path = tmp_path / "orbits.cache"
+    cusp_bfs(FLAGSHIP, 2, cache_path=str(path))
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def test_bfs_cache_cut_short_block_is_an_error(tmp_path):
+    path, lines = _cached_lines(tmp_path)
+    path.write_text("".join(lines[:-2]))
+    with pytest.raises(CacheError, match="fewer than"):
+        load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+
+
+def test_bfs_cache_garbled_line_is_an_error(tmp_path, capsys):
+    path, lines = _cached_lines(tmp_path)
+    lines[3] = "3/x\tAB\t1\t0,1\n"
+    path.write_text("".join(lines))
+    with pytest.raises(CacheError, match="malformed"):
+        load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+    code = main(["probe", "adelic", "--u2", "6/11", "--twot", "6", "--x", "0",
+                 "--m", "6", "--depth", "2", "--cache", str(path)])
+    assert code == 2
+    assert "malformed cache line" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- cusp_test
 
 def test_cusp_test_known_cusp():
@@ -163,6 +259,15 @@ def test_cusp_test_unknown_at_tiny_depth():
     res = cusp_test(FLAGSHIP, point_of(Fraction(355, 113)), depth=1)
     assert res.kind == "unknown"
     assert res.depth == 1
+
+
+@pytest.mark.parametrize("x", [Fraction(5), Fraction(39, 11), -1 - 7 * FLAGSHIP.two_t])
+def test_cusp_test_finds_translated_poles_at_depth_one(x):
+    # a(inf) + 2t, b(inf) + 2t and a(inf) - 7*2t: each is a translate of the
+    # pole of A or B, one letter from infinity
+    res = cusp_test(FLAGSHIP, point_of(x), depth=1)
+    assert (res.kind, res.depth) == ("cusp", 1)
+    assert apply(word_matrix(FLAGSHIP, res.witness), INFINITY) == point_of(x)
 
 
 # ---------------------------------------------------------------- special scan
