@@ -62,23 +62,34 @@ def _cache_path(args) -> str | None:
     return os.environ.get(CACHE_ENV) or None
 
 
-def _report(command: str, config: dict, result: dict, started_ns: int) -> dict:
-    return {
+def _run(args) -> int:
+    """Build the group, run one command and emit its report.
+
+    A command handler adds its own config keys after u2 and twot and
+    returns (result, human lines after the group line, exit code); seed is
+    always the last config key.
+    """
+    started = time.monotonic_ns()
+    g = make_group(parse_rational(args.u2), parse_rational(args.twot))
+    config = {"u2": format_rational(g.u2), "twot": format_rational(g.two_t)}
+    result, lines, code = args.handler(args, g, config)
+    config["seed"] = args.seed
+    command = args.command if args.command == "classify" else f"{args.command} {args.mode}"
+    report = {
         "tool": "fricke",
         "version": __version__,
         "command": command,
         "config": config,
         "result": result,
-        "timing_ms": (time.monotonic_ns() - started_ns) // 1_000_000,
+        "timing_ms": (time.monotonic_ns() - started) // 1_000_000,
     }
-
-
-def _emit(report: dict, fmt: str, human_lines: list[str]) -> None:
-    if fmt == "structured":
+    if args.fmt == "structured":
         print(json.dumps(report, indent=2))
     else:
-        for line in human_lines:
+        print(f"group {g.name}")
+        for line in lines:
             print(line)
+    return code
 
 
 def _parse_targets(text: str) -> list[tuple[int, int]]:
@@ -105,21 +116,10 @@ def _parse_ints(text: str) -> list[int]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(args) -> int:
-    started = time.monotonic_ns()
-    g = make_group(parse_rational(args.u2), parse_rational(args.twot))
+def _cmd_classify(args, g, config):
     verdict = classify(g, args.special_budget, screen_budget=args.screen_budget)
-    config = {
-        "u2": format_rational(g.u2),
-        "twot": format_rational(g.two_t),
-        "special_budget": args.special_budget,
-        "screen_budget": args.screen_budget,
-        "seed": args.seed,
-    }
-    report = _report("classify", config, verdict.to_dict(), started)
-
+    config.update(special_budget=args.special_budget, screen_budget=args.screen_budget)
     lines = [
-        f"group {g.name}",
         f"conclusion                  {verdict.conclusion}",
         f"density in finite products  {str(verdict.density_all_finite_products).lower()}",
     ]
@@ -140,121 +140,80 @@ def _cmd_classify(args) -> int:
                 lines.append(f"      invariant set {w.predicate}")
     else:
         lines.append("obstructions:               none found")
-    _emit(report, args.fmt, lines)
-    return 0
+    return verdict.to_dict(), lines, 0
 
 
-def _cmd_probe(args) -> int:
-    started = time.monotonic_ns()
-    g = make_group(parse_rational(args.u2), parse_rational(args.twot))
+def _cmd_probe(args, g, config):
     cache = _cache_path(args)
     if args.mode == "adelic":
         x = parse_rational(args.x)
         m = parse_rational(args.m)
         result = adelic_probe(g, x, m, args.depth, args.budget, cache)
-        config = {
-            "u2": format_rational(g.u2),
-            "twot": format_rational(g.two_t),
-            "x": format_rational(x),
-            "m": format_rational(m),
-            "depth": args.depth,
-            "budget": args.budget,
-            "seed": args.seed,
-        }
+        config.update(x=format_rational(x), m=format_rational(m))
     else:
         y = parse_rational(args.y)
         targets = _parse_targets(args.targets)
         result = padic_probe(g, y, targets, args.depth, args.budget, cache)
-        config = {
-            "u2": format_rational(g.u2),
-            "twot": format_rational(g.two_t),
-            "y": format_rational(y),
-            "targets": [f"{p}:{k}" for p, k in targets],
-            "depth": args.depth,
-            "budget": args.budget,
-            "seed": args.seed,
-        }
-    report = _report(f"probe {args.mode}", config, result.to_dict(), started)
+        config.update(y=format_rational(y), targets=[f"{p}:{k}" for p, k in targets])
+    config.update(depth=args.depth, budget=args.budget)
     if result.found:
         lines = [
-            f"group {g.name}",
             f"found cusp {format_rational(result.cusp)}"
             f" = {format_rational(result.base_point)} + {result.offset} * 2t",
             f"witness word {result.witness or '<empty>'}",
         ]
     else:
         lines = [
-            f"group {g.name}",
             f"not found at depth {args.depth}"
             + (" (budget exhausted)" if result.truncated else ""),
             "negative result is evidence only",
         ]
-    _emit(report, args.fmt, lines)
-    return 0 if result.found else 3
+    return result.to_dict(), lines, 0 if result.found else 3
 
 
-def _cmd_scan(args) -> int:
-    started = time.monotonic_ns()
-    g = make_group(parse_rational(args.u2), parse_rational(args.twot))
-    if args.mode == "congruence":
-        report_data = miss_scan(
-            g, args.flavor, args.N, args.j, args.depth, args.budget, _cache_path(args)
-        )
-        config = {
-            "u2": format_rational(g.u2),
-            "twot": format_rational(g.two_t),
-            "flavor": args.flavor,
-            "N": args.N,
-            "j": args.j,
-            "depth": args.depth,
-            "budget": args.budget,
-            "seed": args.seed,
-        }
-        payload = report_data.to_dict()
-        lines = [
-            f"group {g.name}",
-            f"labels at level {report_data.level} ({args.flavor}): "
-            f"{payload['total_labels']} total, {payload['hit_count']} hit",
-        ]
-        if report_data.truncated:
-            lines.append("warning: orbit enumeration truncated by budget")
-        if report_data.unhit:
-            lines.append("unhit labels:")
-            lines.extend(f"  - {lbl}" for lbl in payload["unhit"])
-        else:
-            lines.append("unhit labels:  none")
-    elif args.mode == "special":
-        pairs = special_point_scan(g, args.maxlen)
-        config = {
-            "u2": format_rational(g.u2),
-            "twot": format_rational(g.two_t),
-            "maxlen": args.maxlen,
-            "seed": args.seed,
-        }
-        payload = {
-            "count": len(pairs),
-            "points": [{"point": str(pt), "word": w} for pt, w in pairs],
-        }
-        lines = [f"group {g.name}", f"special points up to length {args.maxlen}: {len(pairs)}"]
-        lines.extend(f"  {pt}  fixed by {w}" for pt, w in pairs)
-    else:  # mine
-        seeds = [parse_point(s) for s in args.seeds.split(",")]
-        primes = _parse_ints(args.primes)
-        mined = mine_invariants(g, seeds, primes, args.depth, seed=args.seed)
-        config = {
-            "u2": format_rational(g.u2),
-            "twot": format_rational(g.two_t),
-            "seeds": [str(s) for s in seeds],
-            "primes": primes,
-            "depth": args.depth,
-            "seed": args.seed,
-        }
-        payload = {"count": len(mined), "predicates": [str(p) for p in mined]}
-        lines = [f"group {g.name}", f"mined invariant sets: {len(mined)}"]
-        lines.extend(f"  {p}" for p in mined)
-    report = _report(f"scan {args.mode}", config, payload, started)
-    _emit(report, args.fmt, lines)
-    return 0
+def _cmd_congruence(args, g, config):
+    miss = miss_scan(
+        g, args.flavor, args.N, args.j, args.depth, args.budget, _cache_path(args)
+    )
+    config.update(
+        flavor=args.flavor, N=args.N, j=args.j, depth=args.depth, budget=args.budget
+    )
+    payload = miss.to_dict()
+    lines = [
+        f"labels at level {miss.level} ({args.flavor}): "
+        f"{payload['total_labels']} total, {payload['hit_count']} hit",
+    ]
+    if miss.truncated:
+        lines.append("warning: orbit enumeration truncated by budget")
+    if miss.unhit:
+        lines.append("unhit labels:")
+        lines.extend(f"  - {lbl}" for lbl in payload["unhit"])
+    else:
+        lines.append("unhit labels:  none")
+    return payload, lines, 0
+
+
+def _cmd_special(args, g, config):
+    pairs = special_point_scan(g, args.maxlen)
+    config["maxlen"] = args.maxlen
+    payload = {
+        "count": len(pairs),
+        "points": [{"point": str(pt), "word": w} for pt, w in pairs],
+    }
+    lines = [f"special points up to length {args.maxlen}: {len(pairs)}"]
+    lines.extend(f"  {pt}  fixed by {w}" for pt, w in pairs)
+    return payload, lines, 0
+
+
+def _cmd_mine(args, g, config):
+    seeds = [parse_point(s) for s in args.seeds.split(",")]
+    primes = _parse_ints(args.primes)
+    mined = mine_invariants(g, seeds, primes, args.depth, seed=args.seed)
+    config.update(seeds=[str(s) for s in seeds], primes=primes, depth=args.depth)
+    payload = {"count": len(mined), "predicates": [str(p) for p in mined]}
+    lines = [f"mined invariant sets: {len(mined)}"]
+    lines.extend(f"  {p}" for p in mined)
+    return payload, lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--screen-budget", type=int, default=4,
                        help="word-length bound of the arithmeticity screen")
     _add_common_args(p_cls)
-    p_cls.set_defaults(func=_cmd_classify)
+    p_cls.set_defaults(handler=_cmd_classify)
 
     p_probe = sub.add_parser("probe", help="density probes in adelic or p-adic targets")
     probe_sub = p_probe.add_subparsers(dest="mode", required=True)
@@ -293,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--depth", type=int, default=10)
         pp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
         _add_common_args(pp)
-        pp.set_defaults(func=_cmd_probe, mode=mode)
+        pp.set_defaults(handler=_cmd_probe, mode=mode)
 
     p_scan = sub.add_parser("scan", help="congruence miss scans, special points, mining")
     scan_sub = p_scan.add_subparsers(dest="mode", required=True)
@@ -306,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--depth", type=int, default=8)
     sc.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     _add_common_args(sc)
-    sc.set_defaults(func=_cmd_scan, mode="congruence")
+    sc.set_defaults(handler=_cmd_congruence, mode="congruence")
 
     sp = scan_sub.add_parser("special")
     _add_group_args(sp)
     sp.add_argument("--maxlen", type=int, required=True)
     _add_common_args(sp)
-    sp.set_defaults(func=_cmd_scan, mode="special")
+    sp.set_defaults(handler=_cmd_special, mode="special")
 
     sm = scan_sub.add_parser("mine")
     _add_group_args(sm)
@@ -320,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--depth", type=int, default=5)
     sm.add_argument("--seeds", default="inf,0", help="comma-separated seed points")
     _add_common_args(sm)
-    sm.set_defaults(func=_cmd_scan, mode="mine")
+    sm.set_defaults(handler=_cmd_mine, mode="mine")
 
     return parser
 
@@ -329,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except FrickeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -127,9 +127,7 @@ def _require_level(n: int) -> None:
 def gamma_label(x: ProjPoint, n: int) -> OrbitLabel:
     """Orbit label under the level-n principal congruence subgroup."""
     _require_level(n)
-    pair = (x.a % n, x.c % n)
-    neg = ((-x.a) % n, (-x.c) % n)
-    return OrbitLabel(GAMMA, n, min(pair, neg))
+    return label_of_pair(GAMMA, x.a, x.c, n)
 
 
 # level -> (point -> orbit min, sorted orbit mins, orbits as frozensets)
@@ -181,8 +179,7 @@ def _gamma0_orbit_index(n: int) -> dict[tuple[int, int], int]:
 def gamma0_label(x: ProjPoint, n: int) -> OrbitLabel:
     """Orbit label under matrices with upper-right entry divisible by n."""
     _require_level(n)
-    to_min, _, _ = _gamma0_orbits(n)
-    return OrbitLabel(GAMMA0, n, to_min[p1_reduce(x.a, x.c, n)])
+    return label_of_pair(GAMMA0, x.a, x.c, n)
 
 
 def gamma0_orbit_points(x: ProjPoint, n: int) -> frozenset:
@@ -200,12 +197,12 @@ def enumerate_labels(flavor: str, n: int) -> list[OrbitLabel]:
     """The complete, sorted set of labels at one level."""
     _require_level(n)
     if flavor == GAMMA:
-        keys = set()
-        for a in range(n):
-            for c in range(n):
-                if gcd(gcd(a, c), n) == 1:
-                    keys.add(min((a, c), ((-a) % n, (-c) % n)))
-        return [OrbitLabel(GAMMA, n, k) for k in sorted(keys)]
+        return sorted({
+            label_of_pair(GAMMA, a, c, n)
+            for a in range(n)
+            for c in range(n)
+            if gcd(gcd(a, c), n) == 1
+        })
     if flavor == GAMMA0:
         _, mins, _ = _gamma0_orbits(n)
         return [OrbitLabel(GAMMA0, n, k) for k in mins]
@@ -213,7 +210,7 @@ def enumerate_labels(flavor: str, n: int) -> list[OrbitLabel]:
 
 
 def label_of_pair(flavor: str, num: int, den: int, n: int) -> OrbitLabel:
-    """Label of the reduced rational num/den (den > 0) at level n."""
+    """Label of the point (num : den) of P1(Q) in lowest terms at level n."""
     if flavor == GAMMA:
         pair = (num % n, den % n)
         neg = ((-num) % n, (-den) % n)

@@ -18,7 +18,7 @@ class InvalidGroupError(ParameterError):
 
 
 class CacheError(FrickeError, ValueError):
-    """An orbit cache file holds a run that is cut short or malformed."""
+    """An orbit cache file is unusable, or holds a run that is cut short or malformed."""
 
 
 class EmptyPredicateError(FrickeError):

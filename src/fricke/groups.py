@@ -190,8 +190,6 @@ class FrickeGroup:
     two_t: Fraction
     gen1: ProjMatrix
     gen2: ProjMatrix
-    translation: Fraction
-    parabolic_word: Word
     support_primes: frozenset[int]
     letters: dict[str, ProjMatrix] = field(repr=False, compare=False)
 
@@ -250,8 +248,6 @@ def make_group(u2: Rational, two_t: Rational) -> FrickeGroup:
         two_t=two_t,
         gen1=gen1,
         gen2=gen2,
-        translation=two_t,
-        parabolic_word=PARABOLIC_WORD,
         support_primes=_support_primes(letters),
         letters=letters,
     )
@@ -284,10 +280,6 @@ def _support_primes(letters: dict[str, ProjMatrix]) -> frozenset[int]:
         for entry in m:
             primes.update(prime_factors(Fraction(entry, s).denominator))
     return frozenset(primes)
-
-
-def support_primes(g: FrickeGroup) -> frozenset[int]:
-    return g.support_primes
 
 
 # ---------------------------------------------------------------------------

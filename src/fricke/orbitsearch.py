@@ -20,8 +20,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InternalCheckError, ParameterError
 from .exactnum import (
@@ -61,13 +62,6 @@ DEFAULT_NODE_BUDGET = 250_000
 # translation reduction
 # ---------------------------------------------------------------------------
 
-def reduce_mod_translation(g: FrickeGroup, x: Rational) -> tuple[Fraction, int]:
-    """Write x = rep + k * 2t with rep in [0, 2t); returns (rep, k)."""
-    x = Fraction(x)
-    k = x // g.two_t
-    return x - k * g.two_t, int(k)
-
-
 def _letter_step(
     m: tuple[int, int, int, int], p: int, q: int, xn: int, xd: int
 ) -> tuple[int, int, int] | None:
@@ -100,11 +94,6 @@ def _letter_pairs(g: FrickeGroup) -> list[tuple[str, tuple[int, int, int, int]]]
     return [(ch, tuple(g.letter_matrix(ch))) for ch in LETTERS]
 
 
-# in-process memo of recent runs; results are immutable, so sharing is safe
-_BFS_MEMO: dict[tuple, BfsResult] = {}
-_BFS_MEMO_CAP = 3
-
-
 def cusp_bfs(
     g: FrickeGroup,
     depth: int,
@@ -116,25 +105,28 @@ def cusp_bfs(
     Points are canonically reduced modulo the translation. Output order is
     deterministic (discovery order, letters in the order A, a, B, b). A
     budget stop marks the result truncated. Runs whose parameters match a
-    cached run exactly are loaded from the cache instead of recomputed.
-    Witness words are built lazily from parent pointers (see BfsResult).
+    cached run exactly are loaded from the cache instead of recomputed;
+    every other run is computed (or taken from the in-process memo of
+    recent runs) and appended to the cache. Witness words are built lazily
+    from parent pointers (see BfsResult).
     """
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
     if budget < 1:
         raise ParameterError(f"budget must be >= 1, got {budget}")
-    # the file cache is authoritative when given; the in-process memo only
-    # serves cache-less calls so that cached files always see every run
-    memo_key = (g.u2, g.two_t, depth, budget)
     if cache_path:
         cached = load_cached_bfs(cache_path, g, depth, budget)
         if cached is not None:
             return cached
-    else:
-        memoized = _BFS_MEMO.get(memo_key)
-        if memoized is not None:
-            return memoized
+    result = _computed_bfs(g, depth, budget)
+    if cache_path:
+        append_bfs_cache(cache_path, result)
+    return result
 
+
+# results are immutable, so the memo of recent runs can share them
+@lru_cache(maxsize=3)
+def _computed_bfs(g: FrickeGroup, depth: int, budget: int) -> BfsResult:
     steps = [(ch, m, PARITY_FLIP[ch]) for ch, m in _letter_pairs(g)]
     p, q = g.two_t.numerator, g.two_t.denominator
     nums, dens, depths, tags = [1], [0], [0], [0]
@@ -179,21 +171,10 @@ def cusp_bfs(
                 shifts.append(k)
         lo, hi = hi, len(nums)
 
-    result = BfsResult(
+    return BfsResult(
         g.u2, g.two_t, depth, budget, truncated, nums, dens, depths, tags,
         [""] + [None] * (len(nums) - 1), parents, letters, shifts,
     )
-    if cache_path:
-        append_bfs_cache(cache_path, result)
-    else:
-        _remember_bfs(memo_key, result)
-    return result
-
-
-def _remember_bfs(key: tuple, result: BfsResult) -> None:
-    if key not in _BFS_MEMO and len(_BFS_MEMO) >= _BFS_MEMO_CAP:
-        _BFS_MEMO.pop(next(iter(_BFS_MEMO)))
-    _BFS_MEMO[key] = result
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +217,15 @@ def cusp_test(
         pole, j = None, 0
         if m[2]:
             # the pole -d/c of the letter is rep - j*2t
-            rep, k = reduce_mod_translation(g, Fraction(-m[3], m[2]))
-            pole, j = (rep.numerator, rep.denominator), -k
+            rn, rd, k = _letter_step(IDENTITY, p, q, -m[3], m[2])
+            pole, j = (rn, rd), -k
         steps.append((ch, m, pole, j))
-    rep0, k0 = reduce_mod_translation(g, x.to_rational())
+    n0, d0, k0 = _letter_step(IDENTITY, p, q, x.a, x.c)
     w0 = _translation_word(k0)
     # state key -> arrival word (maps x to the state exactly)
-    seen: dict[tuple[int, int], Word] = {(rep0.numerator, rep0.denominator): w0}
+    seen: dict[tuple[int, int], Word] = {(n0, d0): w0}
     counter = 0
-    heap: list[tuple[int, int, int, int, Word]] = [
-        (rep0.denominator, 0, counter, rep0.numerator, w0)
-    ]
+    heap: list[tuple[int, int, int, int, Word]] = [(d0, 0, counter, n0, w0)]
     nodes = 0
     while heap and nodes < budget:
         sd, d, _, sn, w = heapq.heappop(heap)
@@ -364,6 +343,37 @@ class ProbeResult:
         return out
 
 
+def _first_hit(
+    bfs: BfsResult,
+    offset: Callable[[int, int], int | None],
+    recheck: Callable[[Fraction], bool],
+) -> ProbeResult:
+    """The first cusp c0 + k*2t in enumeration order that a probe accepts.
+
+    offset(num, den) solves for the translation multiple k of the record
+    num/den, or returns None when no translate of it is a hit; the hit is
+    rechecked exactly before it is returned.
+    """
+    for i, cn, cd in bfs.finite_pairs():
+        k = offset(cn, cd)
+        if k is None:
+            continue
+        c0 = Fraction(cn, cd)
+        cusp = c0 + k * bfs.two_t
+        if not recheck(cusp):
+            raise InternalCheckError("probe produced an unverified hit")
+        return ProbeResult(
+            found=True,
+            cusp=cusp,
+            offset=k,
+            base_point=c0,
+            witness=bfs.witness(i),
+            depth=bfs.depth,
+            truncated=bfs.truncated,
+        )
+    return ProbeResult(found=False, depth=bfs.depth, truncated=bfs.truncated)
+
+
 def _rational_lattice_gcd(m: Fraction, t: Fraction) -> Fraction:
     """Positive generator of the subgroup mZ + tZ of Q."""
     return Fraction(
@@ -396,28 +406,17 @@ def adelic_probe(
     a, b = s.numerator, s.denominator
     xn, xd = x.numerator, x.denominator
     ln, ld = lattice.numerator, lattice.denominator
-    for i, cn, cd in bfs.finite_pairs():
+
+    def offset(cn: int, cd: int) -> int | None:
         # (c0 - x) / lattice = (cn*xd - xn*cd) * ld / (cd*xd*ln) is an integer
         if (cn * xd - xn * cd) * ld % (cd * xd * ln):
-            continue
-        c0 = Fraction(cn, cd)
-        r = (c0 - x) / m
+            return None
+        r = (Fraction(cn, cd) - x) / m
         e, f = r.numerator, r.denominator
         # f divides b here; solve k*a/b = -e/f (mod 1)
-        k = 0 if b == 1 else (-(e * (b // f)) * pow(a, -1, b)) % b
-        cusp = c0 + k * g.two_t
-        if not ball_trace_contains(x, m, cusp):
-            raise InternalCheckError("adelic probe produced an unverified hit")
-        return ProbeResult(
-            found=True,
-            cusp=cusp,
-            offset=k,
-            base_point=c0,
-            witness=bfs.witness(i),
-            depth=bfs.depth,
-            truncated=bfs.truncated,
-        )
-    return ProbeResult(found=False, depth=bfs.depth, truncated=bfs.truncated)
+        return 0 if b == 1 else (-(e * (b // f)) * pow(a, -1, b)) % b
+
+    return _first_hit(bfs, offset, lambda cusp: ball_trace_contains(x, m, cusp))
 
 
 def _crt(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -464,7 +463,8 @@ def padic_probe(
     bfs = cusp_bfs(g, depth, budget, cache_path)
     a, b = g.two_t.numerator, g.two_t.denominator
     yn, yd = y.numerator, y.denominator
-    for i, cn, cd in bfs.finite_pairs():
+
+    def offset(cn: int, cd: int) -> int | None:
         # c0 - y = e/f in lowest terms, f > 0
         e, f = cn * yd - yn * cd, cd * yd
         h = gcd(e, f)
@@ -472,7 +472,6 @@ def padic_probe(
         A = a * f
         B = e * b
         congruences: list[tuple[int, int]] = []
-        feasible = True
         for p, k in targets:
             fb = f * b
             vfb = 0
@@ -487,32 +486,18 @@ def padic_probe(
                 alpha += 1
             if alpha >= K:
                 if B % p ** K != 0:
-                    feasible = False
-                    break
+                    return None
                 continue
             pa = p ** alpha
             if B % pa != 0:
-                feasible = False
-                break
+                return None
             mod = p ** (K - alpha)
             j = (-(B // pa) * pow((A // pa) % mod, -1, mod)) % mod
             congruences.append((j, mod))
-        if not feasible:
-            continue
-        j, _ = _crt(congruences)
-        c0 = Fraction(cn, cd)
-        cusp = c0 + j * g.two_t
+        return _crt(congruences)[0]
+
+    def recheck(cusp: Fraction) -> bool:
         z = cusp - y
-        for p, k in targets:
-            if z != 0 and vp(z, p) < k:
-                raise InternalCheckError("padic probe produced an unverified hit")
-        return ProbeResult(
-            found=True,
-            cusp=cusp,
-            offset=j,
-            base_point=c0,
-            witness=bfs.witness(i),
-            depth=bfs.depth,
-            truncated=bfs.truncated,
-        )
-    return ProbeResult(found=False, depth=bfs.depth, truncated=bfs.truncated)
+        return z == 0 or all(vp(z, p) >= k for p, k in targets)
+
+    return _first_hit(bfs, offset, recheck)

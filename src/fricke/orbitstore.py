@@ -161,8 +161,11 @@ def append_bfs_cache(path: str, result: BfsResult) -> None:
     ):
         e1, e2 = PARITY_TAGS[tag]
         lines.append(f"{ProjPoint(n, d)}\t{witness(i)}\t{level}\t{e1},{e2}")
-    with open(path, "a", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise CacheError(f"{path}: cannot write orbit cache: {exc}") from None
 
 
 # point, witness, depth, parity bits
@@ -175,14 +178,17 @@ def load_cached_bfs(
 ) -> BfsResult | None:
     """Return the first cached run matching the parameters exactly, if any.
 
-    Raises CacheError when that run's block is cut short or holds a
-    malformed line.
+    Raises CacheError when the file cannot be read as ASCII text, or when
+    that run's block is cut short or holds a malformed line.
     """
     if not os.path.exists(path):
         return None
     marker = _cache_header((g.u2, g.two_t, depth, budget)) + " truncated="
-    with open(path, encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CacheError(f"{path}: cannot read orbit cache: {exc}") from None
     if text.startswith(marker):
         pos = 0
     else:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -202,6 +203,62 @@ def test_cache_flag_overrides_env(capsys, tmp_path, monkeypatch):
     )
     assert explicit.exists()
     assert not (tmp_path / "unused.cache").exists()
+
+
+def test_cache_file_not_ascii_exit_2(capsys, tmp_path):
+    cache = tmp_path / "orbits.cache"
+    cache.write_bytes(b"\xff\n")
+    code, out, err = run_cli(
+        capsys, "probe", "padic", "--u2", "6/11", "--twot", "6",
+        "--y", "1/4", "--targets", "7:2", "--depth", "3", "--cache", str(cache),
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot read orbit cache" in err
+
+
+def test_cache_path_is_a_directory_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "scan", "congruence", "--u2", "1/4", "--twot", "4",
+        "--flavor", "gamma", "--N", "2", "--depth", "3", "--cache", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot read orbit cache" in err
+
+
+def test_cache_path_in_missing_directory_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "probe", "adelic", "--u2", "1", "--twot", "6", "--x", "1/3",
+        "--m", "9", "--depth", "3", "--cache", str(tmp_path / "missing" / "orbits.cache"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write orbit cache" in err
+
+
+# ---------------------------------------------------------------- golden output
+
+# One small command line per command with its exit code, human output and
+# structured output (timing_ms set to 0). A change that keeps the CLI's
+# behaviour leaves every byte of them unchanged.
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
+with open(GOLDEN_PATH, encoding="ascii") as fh:
+    GOLDEN = json.load(fh)
+
+
+def _golden_id(case):
+    words = [w for w in case["argv"][:2] if not w.startswith("--")]
+    return "-".join(words + [case["argv"][case["argv"].index("--u2") + 1]])
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
+def test_golden_output(capsys, case):
+    for fmt in ("human", "structured"):
+        code, out, err = run_cli(capsys, *case["argv"], "--format", fmt)
+        if fmt == "structured":
+            out = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out)
+        assert (code, out, err) == (case["exit"], case[fmt], "")
 
 
 def test_version(capsys):

@@ -71,7 +71,7 @@ def test_matrix_round_trip():
 def test_flagship_generators():
     assert FLAGSHIP.gen1 == ProjMatrix(22, 6, 11, 11)
     assert FLAGSHIP.gen2 == ProjMatrix(6, 6, 11, 27)
-    assert FLAGSHIP.translation == 6
+    assert FLAGSHIP.two_t == 6
     assert FLAGSHIP.t == 3
 
 

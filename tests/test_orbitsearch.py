@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from fricke.exactnum import (
     vp,
 )
 from fricke.groups import (
+    IDENTITY,
     PARABOLIC_WORD,
     TRANSLATION_WORD,
     ElementClass,
@@ -23,13 +25,13 @@ from fricke.groups import (
 from fricke.orbitsearch import (
     DEFAULT_NODE_BUDGET,
     CuspTestResult,
+    _letter_step,
     adelic_probe,
     cusp_bfs,
     cusp_test,
     load_cached_bfs,
     normalize_targets,
     padic_probe,
-    reduce_mod_translation,
     special_point_scan,
 )
 from fricke.words import concat, parity
@@ -41,12 +43,23 @@ SQUARE = make_group(Fraction(1, 4), 4)
 
 # ---------------------------------------------------------------- reduction
 
+def reduce_mod_translation(g, num, den):
+    """x = rep + k * 2t with rep in [0, 2t), through the identity letter step."""
+    two_t = g.two_t
+    rn, rd, k = _letter_step(IDENTITY, two_t.numerator, two_t.denominator, num, den)
+    assert rd > 0 and gcd(rn, rd) == 1
+    return Fraction(rn, rd), k
+
+
 def test_reduce_mod_translation():
-    rep, k = reduce_mod_translation(FLAGSHIP, Fraction(8))
+    rep, k = reduce_mod_translation(FLAGSHIP, 8, 1)
     assert (rep, k) == (Fraction(2), 1)
-    rep, k = reduce_mod_translation(FLAGSHIP, Fraction(-1, 2))
+    rep, k = reduce_mod_translation(FLAGSHIP, -1, 2)
     assert rep == Fraction(11, 2) and k == -1
     assert 0 <= rep < FLAGSHIP.two_t
+    # the pair need not be reduced, and its sign sits on either entry
+    assert reduce_mod_translation(FLAGSHIP, 2, -4) == (Fraction(11, 2), -1)
+    assert reduce_mod_translation(FLAGSHIP, 36, 3) == (Fraction(0), 2)
 
 
 # ---------------------------------------------------------------- bfs
@@ -88,7 +101,7 @@ def test_bfs_budget_truncation():
 
 def test_bfs_translation_closure():
     res = cusp_bfs(FLAGSHIP, 3)
-    pw = word_matrix(FLAGSHIP, FLAGSHIP.parabolic_word)
+    pw = word_matrix(FLAGSHIP, PARABOLIC_WORD)
     for rec in list(res.finite_points())[:20]:
         c = rec.point.to_rational()
         assert ball_trace_contains(c, FLAGSHIP.two_t, c + FLAGSHIP.two_t)
@@ -190,6 +203,20 @@ def test_bfs_cache_round_trip(tmp_path):
     assert load_cached_bfs(path, FLAGSHIP, 3, first.budget) is not None
     assert load_cached_bfs(path, FLAGSHIP, 2, first.budget) is not None
     assert load_cached_bfs(path, FLAGSHIP, 5, first.budget) is None
+
+
+def test_bfs_memoized_run_is_appended_to_the_cache(tmp_path):
+    path = str(tmp_path / "orbits.cache")
+    computed = cusp_bfs(SQUARE, 7, budget=500)
+    assert computed.truncated
+    # the in-process memo serves the run, and the cache file still gets it
+    assert cusp_bfs(SQUARE, 7, budget=500, cache_path=path) is computed
+    with open(path, encoding="ascii") as fh:
+        assert sum(line.startswith("#bfs ") for line in fh) == 1
+    loaded = load_cached_bfs(path, SQUARE, 7, 500)
+    assert loaded.records == computed.records
+    assert loaded.truncated == computed.truncated
+    assert cusp_bfs(SQUARE, 7, budget=500, cache_path=path) == computed
 
 
 def test_bfs_cache_distinguishes_groups(tmp_path):
@@ -431,8 +458,9 @@ def test_fractional_translation_bfs_is_exact():
 
 
 def test_fractional_translation_reduction():
-    rep, k = reduce_mod_translation(FRACTIONAL, Fraction(-1, 4))
+    rep, k = reduce_mod_translation(FRACTIONAL, -1, 4)
     assert rep == Fraction(17, 4) and k == -1
+    assert reduce_mod_translation(FRACTIONAL, 9, 1) == (Fraction(0), 2)
 
 
 def test_fractional_translation_probes():
