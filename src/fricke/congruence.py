@@ -130,11 +130,11 @@ def gamma_label(x: ProjPoint, n: int) -> OrbitLabel:
     return label_of_pair(GAMMA, x.a, x.c, n)
 
 
-# level -> (point -> orbit min, sorted orbit mins, orbits as frozensets)
-_GAMMA0_CACHE: dict[int, tuple[dict, list, list]] = {}
+# level -> (point -> orbit min, sorted orbit mins)
+_GAMMA0_CACHE: dict[int, tuple[dict, list]] = {}
 
 
-def _gamma0_orbits(n: int) -> tuple[dict, list, list]:
+def _gamma0_orbits(n: int) -> tuple[dict, list]:
     """Orbits of P1(Z/n) under lower-triangular determinant-one matrices.
 
     The group is generated by the unipotent [[1,0],[1,1]] and the diagonals
@@ -147,7 +147,6 @@ def _gamma0_orbits(n: int) -> tuple[dict, list, list]:
     points = p1_points(n)
     squares = sorted({u * u % n for u in range(1, n) if gcd(u, n) == 1})
     to_min: dict[tuple[int, int], tuple[int, int]] = {}
-    orbit_sets: list[frozenset] = []
     for start in points:
         if start in to_min:
             continue
@@ -164,15 +163,13 @@ def _gamma0_orbits(n: int) -> tuple[dict, list, list]:
         least = min(orbit)
         for pt in orbit:
             to_min[pt] = least
-        orbit_sets.append(frozenset(orbit))
-    mins = sorted({min(o) for o in orbit_sets})
-    orbit_sets.sort(key=min)
-    _GAMMA0_CACHE[n] = (to_min, mins, orbit_sets)
+    mins = sorted(set(to_min.values()))
+    _GAMMA0_CACHE[n] = (to_min, mins)
     return _GAMMA0_CACHE[n]
 
 
 def _gamma0_orbit_index(n: int) -> dict[tuple[int, int], int]:
-    _, mins, _ = _gamma0_orbits(n)
+    _, mins = _gamma0_orbits(n)
     return {key: i for i, key in enumerate(mins)}
 
 
@@ -180,17 +177,6 @@ def gamma0_label(x: ProjPoint, n: int) -> OrbitLabel:
     """Orbit label under matrices with upper-right entry divisible by n."""
     _require_level(n)
     return label_of_pair(GAMMA0, x.a, x.c, n)
-
-
-def gamma0_orbit_points(x: ProjPoint, n: int) -> frozenset:
-    """The full enumerated orbit of the reduced point, as P1(Z/n) points."""
-    _require_level(n)
-    to_min, _, orbit_sets = _gamma0_orbits(n)
-    least = to_min[p1_reduce(x.a, x.c, n)]
-    for orbit in orbit_sets:
-        if min(orbit) == least:
-            return orbit
-    raise ParameterError("unreachable")  # pragma: no cover
 
 
 def enumerate_labels(flavor: str, n: int) -> list[OrbitLabel]:
@@ -204,7 +190,7 @@ def enumerate_labels(flavor: str, n: int) -> list[OrbitLabel]:
             if gcd(gcd(a, c), n) == 1
         })
     if flavor == GAMMA0:
-        _, mins, _ = _gamma0_orbits(n)
+        _, mins = _gamma0_orbits(n)
         return [OrbitLabel(GAMMA0, n, k) for k in mins]
     raise ParameterError(f"unknown flavor {flavor!r}; use 'gamma' or 'gamma0'")
 
@@ -215,7 +201,7 @@ def label_of_pair(flavor: str, num: int, den: int, n: int) -> OrbitLabel:
         pair = (num % n, den % n)
         neg = ((-num) % n, (-den) % n)
         return OrbitLabel(GAMMA, n, min(pair, neg))
-    to_min, _, _ = _gamma0_orbits(n)
+    to_min, _ = _gamma0_orbits(n)
     return OrbitLabel(GAMMA0, n, to_min[p1_reduce(num, den, n)])
 
 

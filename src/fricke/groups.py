@@ -8,7 +8,7 @@ projective action on P1(Q) never needs the irrational scalar normalizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import reduce as _reduce
@@ -90,19 +90,6 @@ def mat_inv(m: ProjMatrix) -> ProjMatrix:
 def apply(m: ProjMatrix, x: ProjPoint) -> ProjPoint:
     """Projective action (a : c) -> (m11 a + m12 c : m21 a + m22 c)."""
     return reduce_point(m.a * x.a + m.b * x.c, m.c * x.a + m.d * x.c)
-
-
-def parse_matrix(text: str) -> ProjMatrix:
-    """Parse '[[a,b],[c,d]]' with integer entries."""
-    stripped = text.replace(" ", "")
-    if not (stripped.startswith("[[") and stripped.endswith("]]")):
-        raise ParameterError(f"cannot parse matrix from {text!r}")
-    try:
-        rows = stripped[2:-2].split("],[")
-        (a, b), (c, d) = (tuple(int(v) for v in row.split(",")) for row in rows)
-    except ValueError as exc:
-        raise ParameterError(f"cannot parse matrix from {text!r}") from exc
-    return normalize_matrix(a, b, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +199,6 @@ def word_matrix(g: FrickeGroup, w: Word) -> ProjMatrix:
     return m
 
 
-def _eval_word(letters: dict[str, ProjMatrix], w: Word) -> ProjMatrix:
-    m = IDENTITY
-    for ch in w:
-        m = mat_mul(m, letters[ch])
-    return m
-
-
 def make_group(u2: Rational, two_t: Rational) -> FrickeGroup:
     """Validate 0 < u2 < t - 1 and build generators, parabolic data, supports."""
     u2 = Fraction(u2)
@@ -234,23 +214,24 @@ def make_group(u2: Rational, two_t: Rational) -> FrickeGroup:
     gen1 = matrix_from_rows(t - 1, u2, 1, 1)
     gen2 = matrix_from_rows(u2, u2, 1, t - u2)
     letters = {"A": gen1, "a": mat_inv(gen1), "B": gen2, "b": mat_inv(gen2)}
-
-    # construction-time guard: the fixed parabolic word must translate by -2t
-    p = _eval_word(letters, PARABOLIC_WORD)
-    if p.c != 0 or p.a != p.d or Fraction(p.b, p.d) != -two_t:
-        raise InternalCheckError(
-            f"word {PARABOLIC_WORD} evaluated to {p}, expected translation by {-two_t}"
-        )
-
-    return FrickeGroup(
+    g = FrickeGroup(
         u2=u2,
         t=t,
         two_t=two_t,
         gen1=gen1,
         gen2=gen2,
-        support_primes=_support_primes(letters),
+        support_primes=frozenset(),  # filled in once the guard has passed
         letters=letters,
     )
+
+    # construction-time guard: the fixed parabolic word must translate by -2t
+    p = word_matrix(g, PARABOLIC_WORD)
+    if p.c != 0 or p.a != p.d or Fraction(p.b, p.d) != -two_t:
+        raise InternalCheckError(
+            f"word {PARABOLIC_WORD} evaluated to {p}, expected translation by {-two_t}"
+        )
+
+    return replace(g, support_primes=_support_primes(g))
 
 
 def parabolic_at_infinity(g: FrickeGroup) -> tuple[Word, Fraction]:
@@ -266,11 +247,11 @@ def lambda_generators() -> list[Word]:
     return [parse_word(w) for w in LAMBDA_WORDS]
 
 
-def _support_primes(letters: dict[str, ProjMatrix]) -> frozenset[int]:
+def _support_primes(g: FrickeGroup) -> frozenset[int]:
     """Primes in the denominators of the det-1 normalized kernel generators."""
     primes: set[int] = set()
     for w in LAMBDA_WORDS:
-        m = _eval_word(letters, w)
+        m = word_matrix(g, w)
         det = m.det()
         s = isqrt(det)
         if s * s != det:

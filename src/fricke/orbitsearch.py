@@ -3,12 +3,13 @@
 The cusp set of a group here is the orbit of infinity. Finite cusps are
 stored by their canonical representative modulo the translation by 2t,
 reduced into [0, 2t), as an integer pair (num, den). One letter step,
-_letter_step, applies a generator to such a pair and reduces the image
-modulo 2t = p/q with one integer floor division and one gcd; cusp_bfs and
-cusp_test both use it. Witness words are adjusted by powers of the
-parabolic word so that they map infinity to the stored representative
-exactly; cusp_bfs builds them lazily from parent pointers (see orbitstore),
-and the probes read only the integer columns until they have a hit.
+_letter_step (in orbitstore), applies a generator to such a pair and
+reduces the image modulo 2t = p/q with one integer floor division and one
+gcd; cusp_bfs, cusp_test and the orbit cache loader all use it. Witness
+words are adjusted by powers of the parabolic word so that they map
+infinity to the stored representative exactly; cusp_bfs builds them lazily
+from parent pointers (see orbitstore), and the probes read only the integer
+columns until they have a hit.
 
 Positive probe answers (Found, Cusp, Special) are sound and re-verified
 before being returned; negative answers (NotFoundAtDepth, Unknown) are
@@ -49,6 +50,7 @@ from .orbitstore import (  # CuspRecord and the cache functions are re-exported
     PARITY_FLIP,
     PARITY_TAGS,
     CuspRecord,
+    _letter_step,
     _translation_word,
     append_bfs_cache,
     load_cached_bfs,
@@ -56,34 +58,6 @@ from .orbitstore import (  # CuspRecord and the cache functions are re-exported
 from .words import INVERSE, LETTERS, Word, concat, invert_word
 
 DEFAULT_NODE_BUDGET = 250_000
-
-
-# ---------------------------------------------------------------------------
-# translation reduction
-# ---------------------------------------------------------------------------
-
-def _letter_step(
-    m: tuple[int, int, int, int], p: int, q: int, xn: int, xd: int
-) -> tuple[int, int, int] | None:
-    """Apply the letter matrix m to xn/xd (infinity is 1/0) and reduce the
-    image modulo the translation 2t = p/q.
-
-    Returns None when the image is infinity, else (rn, rd, k) with the image
-    equal to rn/rd + k*2t, rn/rd in lowest terms, rd > 0 and rn/rd in [0, 2t).
-    """
-    a, b, c, d = m
-    yn = a * xn + b * xd
-    yd = c * xn + d * xd
-    if yd == 0:
-        return None
-    if yd < 0:
-        yn, yd = -yn, -yd
-    # floor(y / 2t) and y - k*2t over the common denominator yd*q
-    k = yn * q // (yd * p)
-    rn = yn * q - k * p * yd
-    rd = yd * q
-    h = gcd(rn, rd)
-    return rn // h, rd // h, k
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +147,7 @@ def _computed_bfs(g: FrickeGroup, depth: int, budget: int) -> BfsResult:
 
     return BfsResult(
         g.u2, g.two_t, depth, budget, truncated, nums, dens, depths, tags,
-        [""] + [None] * (len(nums) - 1), parents, letters, shifts,
+        parents, letters, shifts,
     )
 
 

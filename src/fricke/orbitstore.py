@@ -4,7 +4,9 @@ A run of cusp_bfs is stored column-wise: the reduced representative, BFS
 level and parity bits of each record, plus the parent index, letter and
 translation multiple that produced it. Witness words are built from that
 parent chain only when a caller needs one. The cache file is append-only
-and holds one block per run, with its witnesses written out.
+and holds one block per run: the parent index and letter of each record
+after infinity. A load replays the letter step on each record's parent,
+so every loaded record is the exact image of its parent.
 """
 
 from __future__ import annotations
@@ -19,7 +21,31 @@ from typing import Iterator
 from .errors import CacheError
 from .exactnum import ProjPoint, format_rational
 from .groups import PARABOLIC_WORD, TRANSLATION_WORD, FrickeGroup
-from .words import Word, concat
+from .words import LETTERS, Word, concat
+
+
+def _letter_step(
+    m: tuple[int, int, int, int], p: int, q: int, xn: int, xd: int
+) -> tuple[int, int, int] | None:
+    """Apply the letter matrix m to xn/xd (infinity is 1/0) and reduce the
+    image modulo the translation 2t = p/q.
+
+    Returns None when the image is infinity, else (rn, rd, k) with the image
+    equal to rn/rd + k*2t, rn/rd in lowest terms, rd > 0 and rn/rd in [0, 2t).
+    """
+    a, b, c, d = m
+    yn = a * xn + b * xd
+    yd = c * xn + d * xd
+    if yd == 0:
+        return None
+    if yd < 0:
+        yn, yd = -yn, -yd
+    # floor(y / 2t) and y - k*2t over the common denominator yd*q
+    k = yn * q // (yd * p)
+    rn = yn * q - k * p * yd
+    rd = yd * q
+    h = gcd(rn, rd)
+    return rn // h, rd // h, k
 
 
 def _translation_word(k: int) -> Word:
@@ -48,12 +74,12 @@ class BfsResult:
     """One breadth-first run, kept as integer columns.
 
     Record i is the cusp nums[i]/dens[i] (infinity is 1/0), found at level
-    depths[i] with parity bits tags[i]. A computed run also keeps, per
-    record, the parent index, the letter and the translation multiple k, and
-    builds a witness word from that chain, concat(_translation_word(k),
-    letter, parent witness), only when one is asked for: witness(i),
-    records, or a cache write. A run loaded from the cache carries its
-    witnesses. records materializes every CuspRecord once and keeps them.
+    depths[i] with parity bits tags[i]. Record 0 is infinity; every other
+    record is the image of record parents[i] under the letter letters[i],
+    minus shifts[i] translations by 2t. A witness word is built from that
+    chain, concat(_translation_word(k), letter, parent witness), only when
+    one is asked for: witness(i) or records. records materializes every
+    CuspRecord once and keeps them.
     """
 
     def __init__(
@@ -67,10 +93,9 @@ class BfsResult:
         dens: list[int],
         depths: list[int],
         tags: list[int],
-        witnesses: list[Word | None],
-        parents: list[int] | None = None,
-        letters: list[str] | None = None,
-        shifts: list[int] | None = None,
+        parents: list[int],
+        letters: list[str],
+        shifts: list[int],
     ):
         self.u2 = u2
         self.two_t = two_t
@@ -81,10 +106,10 @@ class BfsResult:
         self.dens = dens
         self.depths = depths
         self.tags = tags
-        self._witnesses = witnesses
-        self._parents = parents
-        self._letters = letters
-        self._shifts = shifts
+        self._witnesses: list[Word | None] = [""] + [None] * (len(nums) - 1)
+        self.parents = parents
+        self.letters = letters
+        self.shifts = shifts
         self._records: tuple[CuspRecord, ...] | None = None
 
     def __eq__(self, other) -> bool:
@@ -108,10 +133,10 @@ class BfsResult:
         chain = []
         while ws[i] is None:
             chain.append(i)
-            i = self._parents[i]
+            i = self.parents[i]
         w = ws[i]
         for j in reversed(chain):
-            w = concat(_translation_word(self._shifts[j]), self._letters[j], w)
+            w = concat(_translation_word(self.shifts[j]), self.letters[j], w)
             ws[j] = w
         return w
 
@@ -144,7 +169,7 @@ class BfsResult:
 def _cache_header(result_or_params) -> str:
     u2, two_t, depth, budget = result_or_params
     return (
-        f"#bfs u2={format_rational(u2)} twot={format_rational(two_t)} "
+        f"#orbit u2={format_rational(u2)} twot={format_rational(two_t)} "
         f"depth={depth} budget={budget}"
     )
 
@@ -155,12 +180,9 @@ def append_bfs_cache(path: str, result: BfsResult) -> None:
         _cache_header((result.u2, result.two_t, result.depth, result.budget))
         + f" truncated={int(result.truncated)} records={len(result.nums)}"
     ]
-    witness = result.witness
-    for i, (n, d, level, tag) in enumerate(
-        zip(result.nums, result.dens, result.depths, result.tags)
-    ):
-        e1, e2 = PARITY_TAGS[tag]
-        lines.append(f"{ProjPoint(n, d)}\t{witness(i)}\t{level}\t{e1},{e2}")
+    lines.extend(
+        f"{parent}\t{ch}" for parent, ch in zip(result.parents[1:], result.letters[1:])
+    )
     try:
         with open(path, "a", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -168,9 +190,8 @@ def append_bfs_cache(path: str, result: BfsResult) -> None:
         raise CacheError(f"{path}: cannot write orbit cache: {exc}") from None
 
 
-# point, witness, depth, parity bits
-_CACHE_LINE = re.compile(r"(inf|-?\d+(?:/[1-9]\d*)?)\t([AaBb]*)\t(\d+)\t([01]),([01])")
-_UNREDUCED = re.compile(r"Aa|aA|Bb|bB")
+# parent index, letter
+_CACHE_LINE = re.compile(r"(0|[1-9]\d*)\t([AaBb])")
 
 
 def load_cached_bfs(
@@ -178,8 +199,11 @@ def load_cached_bfs(
 ) -> BfsResult | None:
     """Return the first cached run matching the parameters exactly, if any.
 
-    Raises CacheError when the file cannot be read as ASCII text, or when
-    that run's block is cut short or holds a malformed line.
+    Each record is rebuilt by applying its letter to its parent, an earlier
+    record, and takes its level and parity from the parent. Raises
+    CacheError when the file cannot be read as ASCII text, or when that
+    run's block is cut short, does not end where its record count says, or
+    holds a malformed line.
     """
     if not os.path.exists(path):
         return None
@@ -197,7 +221,7 @@ def load_cached_bfs(
             return None
     end = text.find("\n", pos)
     if end < 0:
-        end = len(text)
+        raise CacheError(f"{path}: cached run is cut short in its header")
     header = text[pos:end]
     try:
         trunc_s, records_s = header[len(marker):].split(" records=")
@@ -205,28 +229,35 @@ def load_cached_bfs(
         count = int(records_s)
     except ValueError:
         raise CacheError(f"{path}: malformed cache header {header!r}") from None
-    lines = text[end + 1:].split("\n", count)[:count]
-    if len(lines) < count or (lines and not lines[-1]):
+    if count < 1:
+        raise CacheError(f"{path}: cached run must hold at least 1 record, not {count}")
+    # count - 1 record lines, then the next header or the end of the file
+    body = text[end + 1:].split("\n", count)
+    if len(body) < count:
         raise CacheError(f"{path}: cached run holds fewer than {count} records")
-    nums, dens, depths, tags, witnesses = [], [], [], [], []
-    for line in lines:
+    after = body[count - 1]
+    if not (after.startswith("#") or (after == "" and len(body) == count)):
+        raise CacheError(f"{path}: cached run does not end after {count} records")
+    steps = {ch: (g.letter_matrix(ch), PARITY_FLIP[ch]) for ch in LETTERS}
+    p, q = g.two_t.numerator, g.two_t.denominator
+    nums, dens, depths, tags = [1], [0], [0], [0]
+    parents, letters, shifts = [-1], [""], [0]
+    for i, line in enumerate(body[:count - 1], 1):
         match = _CACHE_LINE.fullmatch(line)
-        if match is None:
+        parent = int(match[1]) if match else i
+        if parent >= i:  # a parent is an earlier record
             raise CacheError(f"{path}: malformed cache line {line!r}")
-        pt_s, word_s, depth_s, e1, e2 = match.groups()
-        if pt_s == "inf":
-            n, d = 1, 0
-        else:
-            n, _, d_s = pt_s.partition("/")
-            n, d = int(n), int(d_s or 1)
-        # accept only what append_bfs_cache writes: points in lowest terms,
-        # freely reduced witnesses
-        if (d and gcd(n, d) != 1) or _UNREDUCED.search(word_s):
-            raise CacheError(f"{path}: malformed cache line {line!r}")
-        nums.append(n)
-        dens.append(d)
-        depths.append(int(depth_s))
-        tags.append(2 * (e1 == "1") + (e2 == "1"))
-        witnesses.append(word_s)
+        ch = match[2]
+        m, flip = steps[ch]
+        step = _letter_step(m, p, q, nums[parent], dens[parent])
+        if step is None:
+            raise CacheError(f"{path}: cache line {line!r} maps its parent to infinity")
+        nums.append(step[0])
+        dens.append(step[1])
+        shifts.append(step[2])
+        depths.append(depths[parent] + 1)
+        tags.append(tags[parent] ^ flip)
+        parents.append(parent)
+        letters.append(ch)
     return BfsResult(g.u2, g.two_t, depth, budget, truncated, nums, dens, depths, tags,
-                     witnesses)
+                     parents, letters, shifts)

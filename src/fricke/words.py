@@ -48,10 +48,6 @@ def is_reduced(w: str) -> bool:
     return all(w[i + 1] != INVERSE[w[i]] for i in range(len(w) - 1))
 
 
-def is_cyclically_reduced(w: str) -> bool:
-    return is_reduced(w) and (len(w) < 2 or w[-1] != INVERSE[w[0]])
-
-
 def parity(w: str) -> tuple[int, int]:
     """Exponent sums of (g1, g2) mod 2; a homomorphism onto Z/2 + Z/2."""
     e1 = sum(1 for ch in w if ch in "Aa")

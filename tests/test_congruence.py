@@ -10,7 +10,6 @@ from fricke.congruence import (
     MissReport,
     enumerate_labels,
     gamma0_label,
-    gamma0_orbit_points,
     gamma_label,
     label_of_pair,
     miss_scan,
@@ -114,8 +113,6 @@ def test_gamma_label_invariance_oracle(n):
 # ---------------------------------------------------------------- gamma0 labels
 
 def test_gamma0_level2_orbits():
-    assert gamma0_orbit_points(point_of(1), 2) == frozenset({(1, 0), (1, 1)})
-    assert gamma0_orbit_points(point_of(0), 2) == frozenset({(0, 1)})
     assert gamma0_label(point_of(Fraction(1, 2)), 2) == gamma0_label(point_of(1), 2)
     assert gamma0_label(point_of(0), 2) != gamma0_label(point_of(1), 2)
 

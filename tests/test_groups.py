@@ -21,7 +21,6 @@ from fricke.groups import (
     matrix_from_rows,
     normalize_matrix,
     parabolic_at_infinity,
-    parse_matrix,
     word_matrix,
 )
 from fricke.words import concat, invert_word, parity, reduced_words
@@ -56,16 +55,6 @@ def test_normalize_matrix():
         normalize_matrix(0, 0, 0, 0)
 
 
-def test_matrix_round_trip():
-    m = ProjMatrix(22, 6, 11, 11)
-    assert parse_matrix(str(m)) == m
-    assert parse_matrix("[[44, 12], [22, 22]]") == m
-    with pytest.raises(ParameterError):
-        parse_matrix("[[1,0],[0,-1]]")
-    with pytest.raises(ParameterError):
-        parse_matrix("[1,0,0,1]")
-
-
 # ---------------------------------------------------------------- construction
 
 def test_flagship_generators():
@@ -93,6 +82,8 @@ def test_word_matrix_generator_and_identity():
     assert word_matrix(FLAGSHIP, "A") == FLAGSHIP.gen1
     assert word_matrix(FLAGSHIP, "Aa") == ProjMatrix(1, 0, 0, 1)
     assert word_matrix(FLAGSHIP, "") == ProjMatrix(1, 0, 0, 1)
+    with pytest.raises(ParameterError, match="invalid generator letter 'x'"):
+        word_matrix(FLAGSHIP, "AxB")
 
 
 def test_word_matrix_is_projectively_multiplicative():

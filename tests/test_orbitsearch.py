@@ -24,6 +24,7 @@ from fricke.groups import (
 )
 from fricke.orbitsearch import (
     DEFAULT_NODE_BUDGET,
+    CuspRecord,
     CuspTestResult,
     _letter_step,
     adelic_probe,
@@ -203,6 +204,19 @@ def test_bfs_cache_round_trip(tmp_path):
     assert load_cached_bfs(path, FLAGSHIP, 3, first.budget) is not None
     assert load_cached_bfs(path, FLAGSHIP, 2, first.budget) is not None
     assert load_cached_bfs(path, FLAGSHIP, 5, first.budget) is None
+    # a depth-0 block holds only its header
+    root = cusp_bfs(FLAGSHIP, 0, cache_path=path)
+    assert load_cached_bfs(path, FLAGSHIP, 0, root.budget) == root
+    assert root.records == (CuspRecord(INFINITY, "", 0, (0, 0)),)
+    # hits leave the file as it is, and a fresh file gets the same bytes
+    written = (tmp_path / "orbits.cache").read_bytes()
+    for depth in (3, 2, 0):
+        cusp_bfs(FLAGSHIP, depth, cache_path=path)
+    assert (tmp_path / "orbits.cache").read_bytes() == written
+    fresh = str(tmp_path / "fresh.cache")
+    for depth in (3, 2, 0):
+        cusp_bfs(FLAGSHIP, depth, cache_path=fresh)
+    assert (tmp_path / "fresh.cache").read_bytes() == written
 
 
 def test_bfs_memoized_run_is_appended_to_the_cache(tmp_path):
@@ -212,7 +226,7 @@ def test_bfs_memoized_run_is_appended_to_the_cache(tmp_path):
     # the in-process memo serves the run, and the cache file still gets it
     assert cusp_bfs(SQUARE, 7, budget=500, cache_path=path) is computed
     with open(path, encoding="ascii") as fh:
-        assert sum(line.startswith("#bfs ") for line in fh) == 1
+        assert sum(line.startswith("#orbit ") for line in fh) == 1
     loaded = load_cached_bfs(path, SQUARE, 7, 500)
     assert loaded.records == computed.records
     assert loaded.truncated == computed.truncated
@@ -229,12 +243,41 @@ def test_bfs_cache_file_format(tmp_path):
     path = tmp_path / "orbits.cache"
     cusp_bfs(FLAGSHIP, 1, cache_path=str(path))
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("#bfs u2=6/11 twot=6 depth=1 ")
-    # line-delimited records: point, word, depth, parity, tab-separated
-    assert lines[1] == "inf\t\t0\t0,0"
-    fields = lines[2].split("\t")
-    assert len(fields) == 4
-    assert fields[0] in {"2", "6/11"} or "/" in fields[0] or fields[0].isdigit()
+    assert lines[0] == (
+        f"#orbit u2=6/11 twot=6 depth=1 budget={DEFAULT_NODE_BUDGET} "
+        "truncated=0 records=5"
+    )
+    # one line per record after infinity: parent index and letter
+    assert lines[1:] == ["0\tA", "0\ta", "0\tB", "0\tb"]
+
+
+def test_bfs_cache_ignores_blocks_of_the_old_format(tmp_path):
+    path = tmp_path / "orbits.cache"
+    # a block of the format that stored points and witnesses for each record
+    old = (
+        f"#bfs u2=6/11 twot=6 depth=1 budget={DEFAULT_NODE_BUDGET} truncated=0 records=5\n"
+        "inf\t\t0\t0,0\n2\tA\t1\t1,0\n5\tAbaBa\t1\t1,0\n"
+        "6/11\tB\t1\t0,1\n39/11\tAba\t1\t0,1\n"
+    )
+    path.write_text(old)
+    assert load_cached_bfs(str(path), FLAGSHIP, 1, DEFAULT_NODE_BUDGET) is None
+    res = cusp_bfs(FLAGSHIP, 1, cache_path=str(path))
+    text = path.read_text()
+    assert text.startswith(old) and text.count("#orbit ") == 1
+    assert load_cached_bfs(str(path), FLAGSHIP, 1, DEFAULT_NODE_BUDGET) == res
+
+
+def test_bfs_cache_load_replays_each_record_from_its_parent(tmp_path):
+    path, lines = _cached_lines(tmp_path)
+    # record 5 is the first of level 2; hang it from another level-1 record
+    assert lines[5] == "1\tA\n"
+    lines[5] = "3\tA\n"
+    path.write_text("".join(lines))
+    loaded = load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+    assert loaded.records[5] != cusp_bfs(FLAGSHIP, 2).records[5]
+    for rec in loaded.records:
+        assert apply(word_matrix(FLAGSHIP, rec.witness), INFINITY) == rec.point
+        assert parity(rec.witness) == rec.parity_tag
 
 
 def _cached_lines(tmp_path):
@@ -248,6 +291,27 @@ def test_bfs_cache_cut_short_block_is_an_error(tmp_path):
     path.write_text("".join(lines[:-2]))
     with pytest.raises(CacheError, match="fewer than"):
         load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+    # a header cut inside its record count, "records=19" read as "records=1"
+    path.write_text(lines[0][:-2])
+    with pytest.raises(CacheError, match="cut short"):
+        load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+
+
+@pytest.mark.parametrize("records, message", [
+    (0, "at least 1 record"), (3, "does not end after 3 records"),
+])
+def test_bfs_cache_record_count_too_low_is_an_error(tmp_path, capsys, records, message):
+    path, lines = _cached_lines(tmp_path)
+    assert lines[0].endswith(" records=19\n")
+    lines[0] = lines[0].replace(" records=19", f" records={records}")
+    path.write_text("".join(lines))
+    with pytest.raises(CacheError, match=message):
+        load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+    # a short run once reported labels as unhit, with exit 0
+    code = main(["scan", "congruence", "--u2", "6/11", "--twot", "6", "--flavor", "gamma",
+                 "--N", "3", "--depth", "2", "--cache", str(path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bfs_cache_garbled_line_is_an_error(tmp_path, capsys):
@@ -260,6 +324,31 @@ def test_bfs_cache_garbled_line_is_an_error(tmp_path, capsys):
                  "--m", "6", "--depth", "2", "--cache", str(path)])
     assert code == 2
     assert "malformed cache line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "3\tA\n",  # record 3 naming itself as its parent
+    "4\tB\n",  # a later record
+    "07\tA\n",
+    "0\tC\n",
+    "0\tAB\n",
+])
+def test_bfs_cache_bad_parent_or_letter_is_an_error(tmp_path, line):
+    path, lines = _cached_lines(tmp_path)
+    lines[3] = line
+    path.write_text("".join(lines))
+    with pytest.raises(CacheError, match="malformed"):
+        load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+
+
+def test_bfs_cache_step_back_to_infinity_is_an_error(tmp_path):
+    path, lines = _cached_lines(tmp_path)
+    # record 1 is A(inf); the letter a takes it back to infinity
+    assert lines[1] == "0\tA\n"
+    lines[5] = "1\ta\n"
+    path.write_text("".join(lines))
+    with pytest.raises(CacheError, match="to infinity"):
+        load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
 
 
 # ---------------------------------------------------------------- cusp_test
@@ -351,17 +440,24 @@ def test_adelic_probe_obstructed_ball_not_found():
 def test_adelic_probe_brute_force_agreement():
     rng = random.Random(6)
     bfs = cusp_bfs(MODSUB, 6)
+    T = MODSUB.two_t
     for _ in range(40):
         x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         m = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
         res = adelic_probe(MODSUB, x, m, depth=6)
-        # oracle: scan every cusp and a window of translation multiples
+        # oracle: scan every cusp and a window of translation multiples for
+        # (c0 + k*2t - x) / m in Z, over the common denominator cd*Td*xd*mn
+        xn, xd, mn, md = x.numerator, x.denominator, m.numerator, m.denominator
+        tn, td = T.numerator, T.denominator
         brute = None
         for rec in bfs.finite_points():
-            c0 = rec.point.to_rational()
+            cn, cd = rec.point
+            base = (cn * td * xd - xn * cd * td) * md
+            step = tn * cd * xd * md
+            den = cd * td * xd * mn
             for k in range(-200, 201):
-                if ball_trace_contains(x, m, c0 + k * MODSUB.two_t):
-                    brute = (c0, k)
+                if (base + k * step) % den == 0:
+                    brute = (Fraction(cn, cd), k)
                     break
             if brute:
                 break

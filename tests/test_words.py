@@ -5,7 +5,6 @@ from fricke.errors import ParameterError
 from fricke.words import (
     concat,
     invert_word,
-    is_cyclically_reduced,
     is_reduced,
     parity,
     parse_word,
@@ -62,9 +61,3 @@ def test_enumeration_is_length_then_lex():
     assert all(is_reduced(w) for w in ws)
     # each length-2 word over 4 letters minus the 4 cancelling pairs
     assert len([w for w in ws if len(w) == 2]) == 12
-
-
-def test_cyclic_reduction():
-    assert is_cyclically_reduced("AB")
-    assert not is_cyclically_reduced("ABa")
-    assert is_cyclically_reduced("A")
