@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ParameterError
-from .exactnum import ProjPoint, format_rational
+from .exactnum import ProjPoint, format_rational, prime_factors
 from .groups import FrickeGroup
 from .orbitsearch import DEFAULT_NODE_BUDGET, cusp_bfs
 
@@ -94,8 +94,11 @@ def p1_points(n: int) -> list[tuple[int, int]]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """The positive divisors of n, ascending, built from its factorization."""
+    out = [1]
+    for p, e in prime_factors(n).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

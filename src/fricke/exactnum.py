@@ -61,24 +61,84 @@ def require_prime(p: int) -> int:
     return p
 
 
+# Pollard-Brent steps allowed per factorization before giving up. Enough to
+# split, with room to spare, any cofactor whose least prime factor is below
+# about 10**10 (the expected count is near 1.25 * sqrt(p)).
+RHO_STEP_LIMIT = 1 << 20
+_RHO_BATCH = 128   # steps per batched gcd
+
+
+def _brent_split(n: int, c: int, budget: int) -> tuple[int, int]:
+    """Pollard's rho with Brent's cycle search on x -> x^2 + c mod n, from 2.
+
+    Returns (d, steps) with d a divisor of the composite n: 1 < d < n on
+    success, d == n when this c fails, and d == 1 when the step budget ran
+    out first. Brent, BIT 20 (1980) 176-184.
+    """
+    y, r, q, d, steps = 2, 1, 1, 1, 0
+    while d == 1:
+        if steps + r > budget:
+            return 1, steps
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        steps += r
+        k = 0
+        while k < r and d == 1:
+            if steps >= budget:
+                return 1, steps
+            ys = y
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            d = gcd(q, n)
+            steps += min(_RHO_BATCH, r - k)
+            k += _RHO_BATCH
+        r *= 2
+    if d == n:  # the batch overshot: replay it one step at a time
+        while True:
+            ys = (ys * ys + c) % n
+            d = gcd(abs(x - ys), n)
+            if d > 1:
+                break
+    return d, steps
+
+
 def prime_factors(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division; {} for n in {0, 1, -1}."""
+    """Prime factorization of |n|, in ascending order; {} for n in {0, 1, -1}.
+
+    Trial division by the small primes, then Miller-Rabin and Pollard-Brent
+    (with the fixed increments c = 1, 2, ...) on what is left. Raises
+    ParameterError naming the cofactor when RHO_STEP_LIMIT steps do not
+    split it.
+    """
     n = abs(n)
     out: dict[int, int] = {}
     if n <= 1:
         return out
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out[f] = e
-        f = 3 if f == 2 else f + 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    stack = [n] if n > 1 else []
+    budget = RHO_STEP_LIMIT
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d, c = m, 0
+        while d == m:
+            c += 1
+            d, steps = _brent_split(m, c, budget)
+            budget -= steps
+            if d == 1:
+                raise ParameterError(
+                    f"cannot factor {m}: no factor found in about "
+                    f"{RHO_STEP_LIMIT} Pollard-Brent steps"
+                )
+        stack += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------

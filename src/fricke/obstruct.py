@@ -40,6 +40,7 @@ from .predicates import (
     Predicate,
     ResAtom,
     ValAtom,
+    Xor,
     compile_predicate,
     exactly_one_negative,
 )
@@ -408,6 +409,40 @@ def _probe_pool(primes: Sequence[int], seed: int) -> list[Fraction]:
     return pool
 
 
+def _membership_bits(
+    pred: Predicate,
+    data: Sequence[Fraction],
+    pool: Sequence[Fraction],
+    leaves: dict[Predicate, tuple[int, int]],
+) -> tuple[int, int]:
+    """Which data values and which probes lie in the set, as two bitsets.
+
+    Bit i is set when the i-th value lies in the set. An And is the & of its
+    parts and an Xor the ^ of its sides; any other predicate is a leaf,
+    evaluated on every value once and memoized in leaves. A conjunction of
+    two atoms then costs two integer operations instead of a pass over the
+    values.
+    """
+    if isinstance(pred, And):
+        db, pb = (1 << len(data)) - 1, (1 << len(pool)) - 1
+        for part in pred.parts:
+            d, p = _membership_bits(part, data, pool, leaves)
+            db, pb = db & d, pb & p
+        return db, pb
+    if isinstance(pred, Xor):
+        dl, pl = _membership_bits(pred.left, data, pool, leaves)
+        dr, pr = _membership_bits(pred.right, data, pool, leaves)
+        return dl ^ dr, pl ^ pr
+    out = leaves.get(pred)
+    if out is None:
+        test = compile_predicate(pred)
+        out = leaves[pred] = tuple(
+            sum(1 << i for i, x in enumerate(xs) if test(x.numerator, x.denominator))
+            for xs in (data, pool)
+        )
+    return out
+
+
 def mine_invariants(
     g: FrickeGroup,
     seeds: Sequence[ProjPoint],
@@ -432,14 +467,14 @@ def mine_invariants(
     if not data:
         return []
     pool = _probe_pool(primes, seed)
+    data_full, pool_full = (1 << len(data)) - 1, (1 << len(pool)) - 1
+    leaves: dict[Predicate, tuple[int, int]] = {}
     found: list[Predicate] = []
     for idx, cand in enumerate(candidate_predicates(primes)):
-        test = compile_predicate(cand)
-        flags = [test(x.numerator, x.denominator) for x in data]
-        if any(flags) and not all(flags):
+        data_bits, pool_bits = _membership_bits(cand, data, pool, leaves)
+        if data_bits and data_bits != data_full:
             continue
-        pool_flags = [test(x.numerator, x.denominator) for x in pool]
-        if all(pool_flags) or not any(pool_flags):
+        if pool_bits == pool_full or not pool_bits:
             continue  # not both proper and visibly nonempty
         try:
             result = verify_invariance(

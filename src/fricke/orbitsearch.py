@@ -41,7 +41,6 @@ from .groups import (
     FrickeGroup,
     apply,
     classify_element,
-    mat_mul,
     word_matrix,
     IDENTITY,
 )
@@ -248,12 +247,18 @@ def special_point_scan(g: FrickeGroup, max_len: int) -> list[tuple[ProjPoint, Wo
     """Rational fixed points of hyperbolic words up to the given length.
 
     Enumerates cyclically reduced words, keeps hyperbolic elements whose
-    fixed-point pair is rational, and returns (point, word) pairs sorted by
-    point, deduplicated keeping the shortest witness. Monotone in max_len.
+    fixed-point pair is rational, and returns (point, word) pairs
+    deduplicated keeping the shortest witness, sorted by witness (length,
+    then letter order) and then point. Monotone in max_len.
+
+    Word matrices are carried as four plain integers with the content
+    divided out but no canonical sign: the discriminant and the reduced
+    fixed points are the same for m and -m.
     """
     if max_len < 1:
         raise ParameterError(f"scan length must be >= 1, got {max_len}")
-    letters = [(ch, g.letter_matrix(ch)) for ch in LETTERS]
+    letters = [(ch, *g.letter_matrix(ch)) for ch in LETTERS]
+    followers = {x: [lm for lm in letters if lm[0] != INVERSE[x]] for x in LETTERS}
     best: dict[ProjPoint, Word] = {}
 
     def record(pt: ProjPoint, word: str) -> None:
@@ -262,29 +267,30 @@ def special_point_scan(g: FrickeGroup, max_len: int) -> list[tuple[ProjPoint, Wo
             if old is None or _word_key(word) < _word_key(old):
                 best[pt] = word
 
-    def visit(word: str, m) -> None:
-        if INVERSE[word[0]] != word[-1]:
-            disc = (m.a - m.d) ** 2 + 4 * m.b * m.c
-            if disc > 0:
-                s = isqrt(disc)
-                if s * s == disc:
-                    if m.c != 0:
-                        record(reduce_point(m.a - m.d + s, 2 * m.c), word)
-                        record(reduce_point(m.a - m.d - s, 2 * m.c), word)
-                    else:
-                        record(reduce_point(m.b, m.d - m.a), word)
-
-    def rec(word: str, m, remaining: int) -> None:
-        for ch, lm in letters:
-            if word and INVERSE[word[-1]] == ch:
-                continue
+    def rec(word: str, a: int, b: int, c: int, d: int, remaining: int) -> None:
+        for ch, la, lb, lc, ld in followers[word[-1]] if word else letters:
             w2 = word + ch
-            m2 = mat_mul(m, lm)
-            visit(w2, m2)
+            a2, b2 = a * la + b * lc, a * lb + b * ld
+            c2, d2 = c * la + d * lc, c * lb + d * ld
+            k = gcd(a2, b2, c2, d2)
+            if k > 1:
+                a2, b2, c2, d2 = a2 // k, b2 // k, c2 // k, d2 // k
+            if a2 * d2 - b2 * c2 <= 0:
+                raise InternalCheckError(f"word {w2} has non-positive determinant")
+            if w2[0] != INVERSE[ch]:  # cyclically reduced
+                disc = (a2 - d2) ** 2 + 4 * b2 * c2
+                if disc > 0:
+                    s = isqrt(disc)
+                    if s * s == disc:
+                        if c2 != 0:
+                            record(reduce_point(a2 - d2 + s, 2 * c2), w2)
+                            record(reduce_point(a2 - d2 - s, 2 * c2), w2)
+                        else:
+                            record(reduce_point(b2, d2 - a2), w2)
             if remaining > 1:
-                rec(w2, m2, remaining - 1)
+                rec(w2, a2, b2, c2, d2, remaining - 1)
 
-    rec("", IDENTITY, max_len)
+    rec("", 1, 0, 0, 1, max_len)
     return sorted(best.items(), key=lambda item: (_word_key(item[1]), item[0]))
 
 

@@ -69,6 +69,28 @@ def test_classify_malformed_rational_exit_2(capsys):
     assert code == 2
 
 
+def test_classify_large_semiprime_denominator_finishes():
+    # the denominator is 1000000007 * 1000000009; trial division up to its
+    # square root took minutes
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
+    proc = subprocess.run(
+        [sys.executable, "-m", "fricke.cli", "classify", "--u2", "1/1000000016000000063",
+         "--twot", "8", "--format", "structured"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kinds = {w["kind"]: w["primes"] for w in structured(proc.stdout)["result"]["obstructions"]}
+    assert kinds["two_prime_obstruction"] == [1000000007, 1000000009]
+
+
+def test_classify_unfactorable_denominator_exit_2(capsys):
+    n = 1000000000000037 * 1000000000000091
+    code, out, err = run_cli(capsys, "classify", "--u2", f"1/{n}", "--twot", "8")
+    assert code == 2
+    assert out == ""
+    assert f"cannot factor {n}" in err
+
+
 # ---------------------------------------------------------------- probes
 
 def test_probe_adelic_found(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,33 @@ def test_prime_factors():
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert prime_factors(1) == {}
     assert prime_factors(-14) == {2: 1, 7: 1}
+
+
+def test_prime_factors_splits_large_semiprimes():
+    assert prime_factors(1000000016000000063) == {1000000007: 1, 1000000009: 1}
+    assert prime_factors(101 ** 5 * 10007 ** 2) == {101: 5, 10007: 2}
+
+
+def test_prime_factors_gives_up_past_the_step_limit():
+    # two 16-digit primes: far more Pollard-Brent steps than the limit allows
+    n = 1000000000000037 * 1000000000000091
+    with pytest.raises(ParameterError, match=str(n)):
+        prime_factors(n)
+
+
+def test_prime_factors_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20071)
+    inputs = [rng.randint(2, 10 ** 18) for _ in range(150)]
+    for _ in range(100):
+        a, b = rng.randint(3, 9), rng.randint(3, 9)
+        p = sympy.nextprime(rng.randint(10 ** (a - 1), 10 ** a))
+        q = sympy.nextprime(rng.randint(10 ** (b - 1), 10 ** b))
+        inputs.append(p * q * rng.choice((1, 2, 97, 101, p)))
+    for n in inputs:
+        factors = prime_factors(n)
+        assert factors == sympy.factorint(n), n
+        assert list(factors) == sorted(factors)
 
 
 # ---------------------------------------------------------------- valuation

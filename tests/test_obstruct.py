@@ -21,7 +21,14 @@ from fricke.obstruct import (
     relevant_primes,
     verify_invariance,
 )
-from fricke.predicates import And, ValAtom, exactly_one_negative, neg_valuation
+from fricke import obstruct
+from fricke.predicates import (
+    And,
+    ValAtom,
+    compile_predicate,
+    exactly_one_negative,
+    neg_valuation,
+)
 
 FLAGSHIP = make_group(Fraction(6, 11), 6)
 
@@ -242,6 +249,69 @@ def test_miner_parameter_errors():
         mine_invariants(FLAGSHIP, [INFINITY], [], depth=3)
     with pytest.raises(ParameterError):
         mine_invariants(FLAGSHIP, [INFINITY], [3], depth=0)
+
+
+def _mine_oracle(g, seeds, primes, depth, seed):
+    """The miner's filter candidate by candidate: each candidate compiled
+    and evaluated on every orbit value and every probe."""
+    primes = sorted(set(primes))
+    data = obstruct._orbit_values(g, seeds, depth)
+    if not data:
+        return []
+    pool = obstruct._probe_pool(primes, seed)
+    found = []
+    for idx, cand in enumerate(candidate_predicates(primes)):
+        test = compile_predicate(cand)
+        flags = [test(x.numerator, x.denominator) for x in data]
+        if any(flags) and not all(flags):
+            continue
+        pool_flags = [test(x.numerator, x.denominator) for x in pool]
+        if all(pool_flags) or not any(pool_flags):
+            continue
+        try:
+            result = obstruct.verify_invariance(
+                cand, g, obstruct.MINER_VERIFY_SAMPLES, seed=seed * 7919 + idx
+            )
+        except EmptyPredicateError:
+            continue
+        if result.passed:
+            found.append(cand)
+    return found
+
+
+MINER_GROUPS = [
+    (Fraction(1, 15), 8, (3, 5)),
+    (Fraction(1, 15), 4, (3, 5)),
+    (Fraction(1, 4), 4, (2, 3)),
+    (Fraction(6, 11), 6, (2, 3, 11)),
+    (Fraction(2, 3), Fraction(11, 2), (2, 3)),
+    (Fraction(1, 16), 5, (2,)),
+]
+
+
+@pytest.mark.parametrize("u2, two_t, primes", MINER_GROUPS)
+def test_miner_agrees_with_per_candidate_oracle(monkeypatch, u2, two_t, primes):
+    # fewer probes and samples keep the test fast; both sides use them
+    monkeypatch.setattr(obstruct, "MINER_POOL_SIZE", 400)
+    monkeypatch.setattr(obstruct, "MINER_VERIFY_SAMPLES", 300)
+    seeds_seen = []
+    original = obstruct.verify_invariance
+
+    def recording(pred, g, n, seed, *args, **kwargs):
+        seeds_seen.append(seed)
+        return original(pred, g, n, seed, *args, **kwargs)
+
+    monkeypatch.setattr(obstruct, "verify_invariance", recording)
+    g = make_group(u2, two_t)
+    for seed in (0, 1, 7):
+        seeds_seen.clear()
+        mined = mine_invariants(g, [INFINITY, point_of(0)], primes, depth=4, seed=seed)
+        mined_seeds = list(seeds_seen)
+        seeds_seen.clear()
+        expected = _mine_oracle(g, [INFINITY, point_of(0)], primes, depth=4, seed=seed)
+        assert mined == expected
+        assert mined_seeds == seeds_seen
+        assert mined_seeds  # the filters let some candidate through
 
 
 # ---------------------------------------------------------------- classify

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -10,6 +10,7 @@ from fricke.exactnum import (
     INFINITY,
     ball_trace_contains,
     point_of,
+    reduce_point,
     vp,
 )
 from fricke.groups import (
@@ -20,6 +21,7 @@ from fricke.groups import (
     apply,
     classify_element,
     make_group,
+    mat_mul,
     word_matrix,
 )
 from fricke.orbitsearch import (
@@ -27,6 +29,7 @@ from fricke.orbitsearch import (
     CuspRecord,
     CuspTestResult,
     _letter_step,
+    _word_key,
     adelic_probe,
     cusp_bfs,
     cusp_test,
@@ -35,7 +38,7 @@ from fricke.orbitsearch import (
     padic_probe,
     special_point_scan,
 )
-from fricke.words import concat, parity
+from fricke.words import INVERSE, LETTERS, concat, parity
 
 FLAGSHIP = make_group(Fraction(6, 11), 6)
 MODSUB = make_group(1, 6)  # inside the modular group; cusp set is all of Q
@@ -408,6 +411,47 @@ def test_special_scan_monotone():
 
 def test_special_scan_empty_for_integral_group():
     assert special_point_scan(MODSUB, 7) == []
+
+
+def _special_scan_oracle(g, max_len):
+    """The scan with a normalized ProjMatrix product at every node."""
+    letters = [(ch, g.letter_matrix(ch)) for ch in LETTERS]
+    best = {}
+
+    def record(pt, word):
+        if not pt.is_infinity:
+            old = best.get(pt)
+            if old is None or _word_key(word) < _word_key(old):
+                best[pt] = word
+
+    def rec(word, m, remaining):
+        for ch, lm in letters:
+            if word and INVERSE[word[-1]] == ch:
+                continue
+            w2 = word + ch
+            m2 = mat_mul(m, lm)
+            disc = (m2.a - m2.d) ** 2 + 4 * m2.b * m2.c
+            if INVERSE[w2[0]] != w2[-1] and disc > 0 and isqrt(disc) ** 2 == disc:
+                s = isqrt(disc)
+                if m2.c != 0:
+                    record(reduce_point(m2.a - m2.d + s, 2 * m2.c), w2)
+                    record(reduce_point(m2.a - m2.d - s, 2 * m2.c), w2)
+                else:
+                    record(reduce_point(m2.b, m2.d - m2.a), w2)
+            if remaining > 1:
+                rec(w2, m2, remaining - 1)
+
+    rec("", IDENTITY, max_len)
+    return sorted(best.items(), key=lambda item: (_word_key(item[1]), item[0]))
+
+
+@pytest.mark.parametrize("u2, two_t", [
+    (Fraction(6, 11), 6), (Fraction(1, 15), 8), (Fraction(1, 4), 4), (Fraction(2, 3), Fraction(11, 2)),
+])
+def test_special_scan_agrees_with_matrix_oracle(u2, two_t):
+    g = make_group(u2, two_t)
+    for max_len in range(1, 10):
+        assert special_point_scan(g, max_len) == _special_scan_oracle(g, max_len)
 
 
 def test_special_scan_rejects_bad_length():
