@@ -550,9 +550,12 @@ def classify(
     screen_budget: int = DEFAULT_SCREEN_BUDGET,
 ) -> Verdict:
     """Run every obstruction criterion, the density criterion, the trace
-    screen, and a special-point scan up to the given word length."""
+    screen, and a special-point scan up to the given word length (0 skips
+    the scan)."""
     from .orbitsearch import special_point_scan
 
+    if special_budget < 0:
+        raise ParameterError(f"special budget must be >= 0, got {special_budget}")
     obstructions: list[Witness] = []
     primes = relevant_primes(g)
     for p in primes:
@@ -566,7 +569,7 @@ def classify(
     report = check_integer_t_conditions(g)
     obstructions.extend(report.witnesses)
 
-    specials = special_point_scan(g, special_budget) if special_budget >= 1 else []
+    specials = special_point_scan(g, special_budget) if special_budget else []
     if specials:
         point, word = specials[0]
         obstructions.append(

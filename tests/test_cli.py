@@ -9,6 +9,7 @@ import pytest
 
 import fricke
 from fricke.cli import main
+from fricke.orbitsearch import SPECIAL_SCAN_MAX_LEN
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +68,25 @@ def test_classify_invalid_parameters_exit_2(capsys):
 def test_classify_malformed_rational_exit_2(capsys):
     code, _, err = run_cli(capsys, "classify", "--u2", "x/y", "--twot", "4")
     assert code == 2
+
+
+def test_classify_negative_special_budget_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "--u2", "6/11", "--twot", "6", "--special-budget", "-2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "special budget must be >= 0" in err
+
+
+def test_special_scan_lengths_past_the_cap_exit_2(capsys):
+    too_long = str(SPECIAL_SCAN_MAX_LEN + 1)
+    for argv in (["classify", "--special-budget", too_long],
+                 ["scan", "special", "--maxlen", too_long]):
+        code, out, err = run_cli(capsys, *argv, "--u2", "6/11", "--twot", "6")
+        assert code == 2
+        assert out == ""
+        assert "scan length must be in" in err
 
 
 def test_classify_large_semiprime_denominator_finishes():

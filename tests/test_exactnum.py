@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fricke.errors import DomainError, ParameterError
 from fricke.exactnum import (
@@ -37,6 +37,30 @@ def test_is_prime_larger():
     assert is_prime(10**9 + 7)
     assert not is_prime(10**9 + 8)
     assert not is_prime(341)  # Fermat pseudoprime base 2
+
+
+# Carmichael numbers, strong pseudoprimes to many prime bases, and the least
+# strong pseudoprime to the twelve bases 2..37
+PSEUDOPRIMES = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 3215031751,
+                3825123056546413051, 318665857834031151167461]
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.integers(min_value=-5, max_value=10 ** 6),
+        st.integers(min_value=10 ** 18 - 10 ** 4, max_value=10 ** 18 + 10 ** 4),
+        st.integers(min_value=2, max_value=10 ** 18).map(lambda n: sympy.nextprime(n)),
+        st.sampled_from(PSEUDOPRIMES),
+    ))
+    def agrees(n):
+        assert is_prime(n) == sympy.isprime(n), n
+
+    agrees()
+    for n in PSEUDOPRIMES + [10 ** 18 + 3, 10 ** 18 + 9, 10 ** 18 - 11]:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_prime_factors():

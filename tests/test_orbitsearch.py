@@ -5,7 +5,7 @@ from math import gcd, isqrt
 import pytest
 
 from fricke.cli import main
-from fricke.errors import CacheError, ParameterError
+from fricke.errors import CacheError, InternalCheckError, ParameterError
 from fricke.exactnum import (
     INFINITY,
     ball_trace_contains,
@@ -18,6 +18,7 @@ from fricke.groups import (
     PARABOLIC_WORD,
     TRANSLATION_WORD,
     ElementClass,
+    FrickeGroup,
     apply,
     classify_element,
     make_group,
@@ -26,6 +27,7 @@ from fricke.groups import (
 )
 from fricke.orbitsearch import (
     DEFAULT_NODE_BUDGET,
+    SPECIAL_SCAN_MAX_LEN,
     CuspRecord,
     CuspTestResult,
     _letter_step,
@@ -454,9 +456,44 @@ def test_special_scan_agrees_with_matrix_oracle(u2, two_t):
         assert special_point_scan(g, max_len) == _special_scan_oracle(g, max_len)
 
 
+def _small_groups():
+    """Valid groups with u2 = a/b, a, b <= 12, and integer 2t <= 12."""
+    out = set()
+    for two_t in range(3, 13):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                if Fraction(a, b) < Fraction(two_t, 2) - 1:
+                    out.add((Fraction(a, b), two_t))
+    return sorted(out)
+
+
+def test_special_scan_agrees_with_oracle_on_a_seeded_grid():
+    rng = random.Random(2024)
+    # (1/4, 4): A fixes -1/2, so the periodic necklaces AA and AAA are square
+    cases = [(Fraction(1, 4), 4)] + rng.sample(_small_groups(), 16)
+    for u2, two_t in cases:
+        g = make_group(u2, two_t)
+        for max_len in range(1, 8):
+            assert special_point_scan(g, max_len) == _special_scan_oracle(g, max_len), (u2, two_t)
+
+
+def test_special_scan_agrees_with_oracle_at_length_10():
+    assert special_point_scan(FLAGSHIP, 10) == _special_scan_oracle(FLAGSHIP, 10)
+
+
+@pytest.mark.parametrize("letter, bad", [("A", (0, 1, 1, 0)), ("B", (1, 0, 0, -1)), ("b", (1, 1, 1, 1))])
+def test_special_scan_checks_determinants(monkeypatch, letter, bad):
+    letters = dict(FLAGSHIP.letters, **{letter: bad})
+    monkeypatch.setattr(FrickeGroup, "letter_matrix", lambda self, ch: letters[ch])
+    with pytest.raises(InternalCheckError, match="non-positive determinant"):
+        special_point_scan(FLAGSHIP, 4)
+
+
 def test_special_scan_rejects_bad_length():
-    with pytest.raises(ParameterError):
-        special_point_scan(FLAGSHIP, 0)
+    for max_len in (-1, 0, SPECIAL_SCAN_MAX_LEN + 1):
+        with pytest.raises(ParameterError):
+            special_point_scan(FLAGSHIP, max_len)
+    assert special_point_scan(FLAGSHIP, 1) == _special_scan_oracle(FLAGSHIP, 1)
 
 
 # ---------------------------------------------------------------- adelic probe
