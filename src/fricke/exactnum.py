@@ -9,7 +9,7 @@ v_p(a) - v_p(b) with at most one term nonzero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
@@ -24,13 +24,68 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 # Miller-Rabin with the first 13 prime bases is deterministic below
-# 3.3 * 10**24 (the first 12 stop at 318665857834031151167461), far beyond
-# anything reachable at desk scale.
+# 3317044064679887385961981 (about 3.3 * 10**24), the least strong pseudoprime
+# to all of them; the first 12 stop at 318665857834031151167461.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_DETERMINISTIC_BELOW = 3317044064679887385961981
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, n odd and not a square.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4. With n + 1 = d * 2^s, n passes when U_d = 0 or
+    V_(d 2^r) = 0 mod n for some 0 <= r < s. Baillie and Wagstaff, Math.
+    Comp. 35 (1980) 1391-1417.
+    """
+    D = 5
+    while _jacobi(D, n) != -1:
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n   # U_1, V_1, Q^1 with P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V   # twice U_(k+1), V_(k+1)
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (trial division, then Miller-Rabin)."""
+    """Primality test: trial division, then Miller-Rabin.
+
+    Exact below 3.3 * 10**24. Above it a strong Lucas test follows the
+    Miller-Rabin rounds, which makes it the Baillie-PSW test: no composite
+    is known to pass it, but that is not proven.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -53,7 +108,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    if n < _MR_DETERMINISTIC_BELOW:
+        return True
+    return isqrt(n) ** 2 != n and _is_strong_lucas_probable_prime(n)
 
 
 def require_prime(p: int) -> int:
@@ -108,7 +165,7 @@ def _brent_split(n: int, c: int, budget: int) -> tuple[int, int]:
 def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization of |n|, in ascending order; {} for n in {0, 1, -1}.
 
-    Trial division by the small primes, then Miller-Rabin and Pollard-Brent
+    Trial division by the small primes, then is_prime and Pollard-Brent
     (with the fixed increments c = 1, 2, ...) on what is left. Raises
     ParameterError naming the cofactor when RHO_STEP_LIMIT steps do not
     split it.

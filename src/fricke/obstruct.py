@@ -254,24 +254,6 @@ class InvarianceResult:
         return self.passed
 
 
-def _sample_in_predicate(rng: random.Random, test, bound: int) -> tuple[int, int]:
-    """Rejection-sample a reduced pair (n, d) with n/d nonzero in the set."""
-    misses = 0
-    while True:
-        n = rng.randint(-bound, bound)
-        d = rng.randint(1, bound)
-        if n != 0:
-            h = gcd(abs(n), d)
-            n_, d_ = n // h, d // h
-            if test(n_, d_):
-                return n_, d_
-        misses += 1
-        if misses >= _RETRY_LIMIT:
-            raise EmptyPredicateError(
-                f"no sample satisfied the predicate in {_RETRY_LIMIT} draws"
-            )
-
-
 def verify_invariance(
     pred: Predicate,
     g: FrickeGroup,
@@ -281,39 +263,50 @@ def verify_invariance(
 ) -> InvarianceResult:
     """Sample n rationals in the set and check all four generator letters.
 
-    An image equal to 0 or infinity counts as a counterexample, since the
-    sets under study live inside the nonzero rationals.
+    A sample is a numerator in [-bound, bound] over a denominator in
+    [1, bound], reduced, redrawn until it lies in the set. The draws are
+    random.Random(seed).randint's: getrandbits(w.bit_length()) until it is
+    below the width w. An image equal to 0 or infinity counts as a
+    counterexample, since the sets under study live inside the nonzero
+    rationals.
     """
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
     test = compile_predicate(pred)
-    mats = [(ch, g.letter_matrix(ch)) for ch in "AaBb"]
-    rng = random.Random(seed)
+    mats = [(ch, *g.letter_matrix(ch)) for ch in "AaBb"]
+    getrandbits = random.Random(seed).getrandbits
+    wn, wd = 2 * bound + 1, bound
+    kn, kd = wn.bit_length(), wd.bit_length()
     for i in range(n):
-        xn, xd = _sample_in_predicate(rng, test, bound)
-        for ch, m in mats:
-            yn = m.a * xn + m.b * xd
-            yd = m.c * xn + m.d * xd
-            if yn == 0 or yd == 0:
-                return InvarianceResult(
-                    passed=False,
-                    samples=i + 1,
-                    seed=seed,
-                    counterexample=(Fraction(xn, xd), ch),
-                    image=None,
-                )
-            h = gcd(abs(yn), abs(yd))
-            yn, yd = yn // h, yd // h
-            if yd < 0:
-                yn, yd = -yn, -yd
-            if not test(yn, yd):
-                return InvarianceResult(
-                    passed=False,
-                    samples=i + 1,
-                    seed=seed,
-                    counterexample=(Fraction(xn, xd), ch),
-                    image=Fraction(yn, yd),
-                )
+        for _ in range(_RETRY_LIMIT):
+            while (xn := getrandbits(kn)) >= wn:
+                pass
+            while (xd := getrandbits(kd)) >= wd:
+                pass
+            xn, xd = xn - bound, xd + 1
+            if xn:
+                h = gcd(xn, xd)
+                xn, xd = xn // h, xd // h
+                if test(xn, xd):
+                    break
+        else:
+            raise EmptyPredicateError(
+                f"no sample satisfied the predicate in {_RETRY_LIMIT} draws"
+            )
+        for ch, a, b, c, d in mats:
+            yn, yd = a * xn + b * xd, c * xn + d * xd
+            if yn and yd:
+                h = gcd(yn, yd) if yd > 0 else -gcd(yn, yd)
+                yn, yd = yn // h, yd // h
+                if test(yn, yd):
+                    continue
+            return InvarianceResult(
+                passed=False,
+                samples=i + 1,
+                seed=seed,
+                counterexample=(Fraction(xn, xd), ch),
+                image=Fraction(yn, yd) if yn and yd else None,
+            )
     return InvarianceResult(passed=True, samples=n, seed=seed)
 
 
@@ -323,6 +316,9 @@ def verify_invariance(
 
 MINER_VERIFY_SAMPLES = 10 ** 4
 MINER_POOL_SIZE = 1000
+# Deepest orbit mine_invariants accepts: the orbit triples per level, and on
+# (1/15, 8) with primes 3, 5 depth 9 takes about 6 s and depth 10 about 28 s.
+MINER_MAX_DEPTH = 9
 _RES_ATOM_PRIME_CAP = 7   # residue subsets are enumerated only for p <= 7
 
 
@@ -411,17 +407,17 @@ def _probe_pool(primes: Sequence[int], seed: int) -> list[Fraction]:
 
 def _membership_bits(
     pred: Predicate,
-    data: Sequence[Fraction],
-    pool: Sequence[Fraction],
+    data: Sequence[tuple[int, int]],
+    pool: Sequence[tuple[int, int]],
     leaves: dict[Predicate, tuple[int, int]],
 ) -> tuple[int, int]:
     """Which data values and which probes lie in the set, as two bitsets.
 
-    Bit i is set when the i-th value lies in the set. An And is the & of its
-    parts and an Xor the ^ of its sides; any other predicate is a leaf,
-    evaluated on every value once and memoized in leaves. A conjunction of
-    two atoms then costs two integer operations instead of a pass over the
-    values.
+    Bit i is set when the i-th (num, den) pair lies in the set. An And is
+    the & of its parts and an Xor the ^ of its sides; any other predicate is
+    a leaf, evaluated on every value once and memoized in leaves. A
+    conjunction of two atoms then costs two integer operations instead of a
+    pass over the values.
     """
     if isinstance(pred, And):
         db, pb = (1 << len(data)) - 1, (1 << len(pool)) - 1
@@ -437,7 +433,7 @@ def _membership_bits(
     if out is None:
         test = compile_predicate(pred)
         out = leaves[pred] = tuple(
-            sum(1 << i for i, x in enumerate(xs) if test(x.numerator, x.denominator))
+            sum(1 << i for i, (n, d) in enumerate(xs) if test(n, d))
             for xs in (data, pool)
         )
     return out
@@ -458,15 +454,15 @@ def mine_invariants(
     if it excludes at least one probe rational and contains at least one,
     and if seeded invariance verification finds no counterexample.
     """
-    if depth < 1:
-        raise ParameterError(f"depth must be >= 1, got {depth}")
+    if not 1 <= depth <= MINER_MAX_DEPTH:
+        raise ParameterError(f"depth must be in 1..{MINER_MAX_DEPTH}, got {depth}")
     if not primes:
         raise ParameterError("at least one prime is required")
     primes = sorted(set(primes))
-    data = _orbit_values(g, seeds, depth)
+    data = [(x.numerator, x.denominator) for x in _orbit_values(g, seeds, depth)]
     if not data:
         return []
-    pool = _probe_pool(primes, seed)
+    pool = [(x.numerator, x.denominator) for x in _probe_pool(primes, seed)]
     data_full, pool_full = (1 << len(data)) - 1, (1 << len(pool)) - 1
     leaves: dict[Predicate, tuple[int, int]] = {}
     found: list[Predicate] = []

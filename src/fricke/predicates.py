@@ -230,20 +230,31 @@ def _vp_pair(n: int, d: int, p: int) -> int:
     return v
 
 
+def _at_most(p: int, c: int, negate: bool = False) -> Callable[[int, int], bool]:
+    # v_p(n/d) <= c on a reduced pair, or v_p(n/d) > c when negated
+    if c < 0:
+        m = p ** -c
+        return (lambda n, d: d % m != 0) if negate else (lambda n, d: d % m == 0)
+    m = p ** (c + 1)
+    return (lambda n, d: n % m == 0) if negate else (lambda n, d: n % m != 0)
+
+
 def compile_predicate(pred: Predicate) -> Callable[[int, int], bool]:
-    """Compile to a closure on reduced integer pairs (num, den), num != 0."""
+    """Compile to a closure on reduced integer pairs (num, den), num != 0.
+
+    p divides at most one of num, den, so v_p <= c is den % p^-c == 0 for
+    c < 0 and num % p^(c+1) != 0 for c >= 0; v_p >= c is the negation of
+    v_p <= c - 1, and <, > and = follow. Only odd and even compute v_p.
+    """
     if isinstance(pred, ValAtom):
         p, rel, bound = pred.p, pred.rel, pred.bound
-        if rel == "<=":
-            return lambda n, d: _vp_pair(n, d, p) <= bound
-        if rel == "<":
-            return lambda n, d: _vp_pair(n, d, p) < bound
+        if rel in ("<=", "<"):
+            return _at_most(p, bound - (rel == "<"))
+        if rel in (">=", ">"):
+            return _at_most(p, bound - (rel == ">="), negate=True)
         if rel == "=":
-            return lambda n, d: _vp_pair(n, d, p) == bound
-        if rel == ">=":
-            return lambda n, d: _vp_pair(n, d, p) >= bound
-        if rel == ">":
-            return lambda n, d: _vp_pair(n, d, p) > bound
+            lo, hi = _at_most(p, bound - 1, negate=True), _at_most(p, bound)
+            return lambda n, d: lo(n, d) and hi(n, d)
         if rel == "odd":
             return lambda n, d: _vp_pair(n, d, p) % 2 == 1
         return lambda n, d: _vp_pair(n, d, p) % 2 == 0

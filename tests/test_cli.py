@@ -9,6 +9,7 @@ import pytest
 
 import fricke
 from fricke.cli import main
+from fricke.obstruct import MINER_MAX_DEPTH
 from fricke.orbitsearch import SPECIAL_SCAN_MAX_LEN
 
 
@@ -89,6 +90,16 @@ def test_special_scan_lengths_past_the_cap_exit_2(capsys):
         assert "scan length must be in" in err
 
 
+def test_scan_mine_depth_past_the_cap_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "mine", "--u2", "1/15", "--twot", "8", "--primes", "3,5",
+        "--depth", str(MINER_MAX_DEPTH + 1),
+    )
+    assert code == 2
+    assert out == ""
+    assert "depth must be in" in err
+
+
 def test_classify_large_semiprime_denominator_finishes():
     # the denominator is 1000000007 * 1000000009; trial division up to its
     # square root took minutes
@@ -106,6 +117,16 @@ def test_classify_large_semiprime_denominator_finishes():
 def test_classify_unfactorable_denominator_exit_2(capsys):
     n = 1000000000000037 * 1000000000000091
     code, out, err = run_cli(capsys, "classify", "--u2", f"1/{n}", "--twot", "8")
+    assert code == 2
+    assert out == ""
+    assert f"cannot factor {n}" in err
+
+
+def test_classify_strong_pseudoprime_denominator_exit_2(capsys):
+    # the least strong pseudoprime to the 13 Miller-Rabin bases is composite,
+    # so clause (a) applies, and Pollard-Brent cannot split it within the limit
+    n = 3317044064679887385961981
+    code, out, err = run_cli(capsys, "classify", "--u2", f"1/{n}", "--twot", "6")
     assert code == 2
     assert out == ""
     assert f"cannot factor {n}" in err
@@ -282,14 +303,17 @@ def test_cache_path_in_missing_directory_exit_2(capsys, tmp_path):
 # ---------------------------------------------------------------- golden output
 
 # One small command line per command with its exit code, human output and
-# structured output (timing_ms set to 0). A change that keeps the CLI's
-# behaviour leaves every byte of them unchanged.
+# structured output (timing_ms set to 0), plus the benchmark's two scan mine
+# queries (an "id" keeps their test names apart from the smaller case). A
+# change that keeps the CLI's behaviour leaves every byte of them unchanged.
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 with open(GOLDEN_PATH, encoding="ascii") as fh:
     GOLDEN = json.load(fh)
 
 
 def _golden_id(case):
+    if "id" in case:
+        return case["id"]
     words = [w for w in case["argv"][:2] if not w.startswith("--")]
     return "-".join(words + [case["argv"][case["argv"].index("--u2") + 1]])
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,33 @@ def test_is_prime_agrees_with_sympy():
     agrees()
     for n in PSEUDOPRIMES + [10 ** 18 + 3, 10 ** 18 + 9, 10 ** 18 - 11]:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+PSI_13 = 3317044064679887385961981   # 1287836182261 * 2575672364521
+
+
+def test_is_prime_rejects_psi_13():
+    assert not is_prime(PSI_13)
+    assert not is_prime(1287836182261 * 2575672364521)
+
+
+def test_is_prime_agrees_with_sympy_past_the_miller_rabin_bound():
+    sympy = pytest.importorskip("sympy")
+    big = st.integers(min_value=PSI_13, max_value=10 ** 40)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        big,
+        big.map(lambda n: sympy.nextprime(n)),
+        st.tuples(st.integers(10 ** 12, 10 ** 20), st.integers(10 ** 12, 10 ** 20)).map(
+            lambda pq: sympy.nextprime(pq[0]) * sympy.nextprime(pq[1])
+        ),
+        big.map(lambda n: sympy.nextprime(isqrt(n)) ** 2),
+    ))
+    def agrees(n):
+        assert is_prime(n) == sympy.isprime(n), n
+
+    agrees()
 
 
 def test_prime_factors():

@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,6 +12,7 @@ from fricke.obstruct import (
     NO_KNOWN_OBSTRUCTION,
     NOT_PSEUDOMODULAR,
     IntegerTReport,
+    InvarianceResult,
     candidate_predicates,
     check_density_criterion,
     check_integer_t_conditions,
@@ -214,6 +217,90 @@ def test_invariance_counterexamples_agree_with_projective_action():
             assert not eval_predicate(neg_valuation(5), res.image)
 
 
+def _sample_in_predicate(rng, test, bound):
+    """Rejection-sample a reduced pair (n, d) with n/d nonzero in the set."""
+    misses = 0
+    while True:
+        n = rng.randint(-bound, bound)
+        d = rng.randint(1, bound)
+        if n != 0:
+            h = gcd(abs(n), d)
+            n_, d_ = n // h, d // h
+            if test(n_, d_):
+                return n_, d_
+        misses += 1
+        if misses >= obstruct._RETRY_LIMIT:
+            raise EmptyPredicateError(
+                f"no sample satisfied the predicate in {obstruct._RETRY_LIMIT} draws"
+            )
+
+
+def _verify_oracle(pred, g, n, seed, bound=obstruct.SAMPLE_BOUND):
+    """verify_invariance drawing through rng.randint, one sample per call."""
+    if n < 1:
+        raise ParameterError(f"sample count must be >= 1, got {n}")
+    test = compile_predicate(pred)
+    mats = [(ch, g.letter_matrix(ch)) for ch in "AaBb"]
+    rng = random.Random(seed)
+    for i in range(n):
+        xn, xd = _sample_in_predicate(rng, test, bound)
+        for ch, m in mats:
+            yn = m.a * xn + m.b * xd
+            yd = m.c * xn + m.d * xd
+            if yn == 0 or yd == 0:
+                return InvarianceResult(
+                    passed=False,
+                    samples=i + 1,
+                    seed=seed,
+                    counterexample=(Fraction(xn, xd), ch),
+                    image=None,
+                )
+            h = gcd(abs(yn), abs(yd))
+            yn, yd = yn // h, yd // h
+            if yd < 0:
+                yn, yd = -yn, -yd
+            if not test(yn, yd):
+                return InvarianceResult(
+                    passed=False,
+                    samples=i + 1,
+                    seed=seed,
+                    counterexample=(Fraction(xn, xd), ch),
+                    image=Fraction(yn, yd),
+                )
+    return InvarianceResult(passed=True, samples=n, seed=seed)
+
+
+def _verify_outcome(verify, *args, **kwargs):
+    try:
+        return verify(*args, **kwargs)
+    except EmptyPredicateError as exc:
+        return ("empty", str(exc))
+
+
+# (u2, 2t, sample bound): the small bound makes some candidates empty
+ORACLE_GROUPS = [
+    (Fraction(1, 15), 8, obstruct.SAMPLE_BOUND),
+    (Fraction(1, 4), 4, obstruct.SAMPLE_BOUND),
+    (Fraction(6, 11), 6, obstruct.SAMPLE_BOUND),
+    (Fraction(2, 3), Fraction(11, 2), 30),
+]
+
+
+@pytest.mark.parametrize("u2, two_t, bound", ORACLE_GROUPS)
+def test_verify_invariance_agrees_with_randint_oracle(monkeypatch, u2, two_t, bound):
+    # a smaller retry limit keeps empty candidates cheap; both sides read it
+    monkeypatch.setattr(obstruct, "_RETRY_LIMIT", 2000)
+    g = make_group(u2, two_t)
+    empty = 0
+    for pred in candidate_predicates([2, 3, 5])[::7]:
+        for seed in (0, 1, 4711):
+            expected = _verify_outcome(_verify_oracle, pred, g, 200, seed, bound)
+            got = _verify_outcome(verify_invariance, pred, g, 200, seed, bound)
+            assert got == expected, (str(pred), seed)
+            empty += isinstance(expected, tuple)
+    assert empty or bound == obstruct.SAMPLE_BOUND
+
+
 # ---------------------------------------------------------------- miner
 
 def test_miner_rediscovers_two_prime_set():
@@ -247,8 +334,9 @@ def test_miner_hypothesis_space_has_no_constant_true():
 def test_miner_parameter_errors():
     with pytest.raises(ParameterError):
         mine_invariants(FLAGSHIP, [INFINITY], [], depth=3)
-    with pytest.raises(ParameterError):
-        mine_invariants(FLAGSHIP, [INFINITY], [3], depth=0)
+    for depth in (0, obstruct.MINER_MAX_DEPTH + 1):
+        with pytest.raises(ParameterError, match="depth must be in"):
+            mine_invariants(FLAGSHIP, [INFINITY], [3], depth=depth)
 
 
 def _mine_oracle(g, seeds, primes, depth, seed):

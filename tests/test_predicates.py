@@ -71,15 +71,52 @@ def test_parse_rejects_junk():
             parse_predicate(bad)
 
 
+# every valuation relation at bounds -3..3, and the parity atoms
+VAL_ATOMS = [
+    ValAtom(p, rel, bound)
+    for p in (2, 3, 5)
+    for rel in ("<=", "<", "=", ">=", ">")
+    for bound in range(-3, 4)
+] + [ValAtom(p, rel) for p in (2, 3, 5) for rel in ("odd", "even")]
+
+
+def _power_times(p, k, m, n, sign):
+    # sign * p^k * m / n; v_p is k when p divides neither m nor n
+    return sign * Fraction(p) ** k * Fraction(m, n)
+
+
 @given(
-    st.sampled_from(SAMPLES),
-    st.fractions(min_value=-300, max_value=300, max_denominator=300).filter(
-        lambda x: x != 0
+    st.sampled_from(SAMPLES + VAL_ATOMS),
+    st.one_of(
+        st.fractions(min_value=-300, max_value=300, max_denominator=300).filter(
+            lambda x: x != 0
+        ),
+        st.builds(
+            _power_times,
+            st.sampled_from((2, 3, 5, 7)),
+            st.integers(min_value=-4, max_value=4),
+            st.integers(min_value=1, max_value=300),
+            st.integers(min_value=1, max_value=300),
+            st.sampled_from((1, -1)),
+        ),
     ),
 )
 def test_compiled_form_agrees_with_eval(pred, x):
     compiled = compile_predicate(pred)
     assert compiled(x.numerator, x.denominator) == eval_predicate(pred, x)
+
+
+def test_compiled_valuation_atoms_agree_with_eval_exhaustively():
+    units = (1, 2, 3, 5, 7, 11, 13)
+    for atom in VAL_ATOMS:
+        compiled = compile_predicate(atom)
+        for k in range(-4, 5):
+            for m in units:
+                for n in units:
+                    for sign in (1, -1):
+                        x = _power_times(atom.p, k, m, n, sign)
+                        got = compiled(x.numerator, x.denominator)
+                        assert got == eval_predicate(atom, x), (str(atom), x)
 
 
 def test_invalid_atoms():
