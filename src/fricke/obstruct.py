@@ -272,6 +272,8 @@ def verify_invariance(
     """
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
+    if bound < 1:
+        raise ParameterError(f"sample bound must be >= 1, got {bound}")
     test = compile_predicate(pred)
     mats = [(ch, *g.letter_matrix(ch)) for ch in "AaBb"]
     getrandbits = random.Random(seed).getrandbits

@@ -196,6 +196,8 @@ def test_invariance_empty_predicate():
 def test_invariance_rejects_bad_sample_count():
     with pytest.raises(ParameterError):
         verify_invariance(neg_valuation(3), FLAGSHIP, 0, seed=0)
+    with pytest.raises(ParameterError):
+        verify_invariance(neg_valuation(3), FLAGSHIP, 10, seed=0, bound=0)
 
 
 def test_invariance_counterexamples_agree_with_projective_action():
