@@ -249,9 +249,9 @@ def compile_predicate(pred: Predicate) -> Callable[[int, int], bool]:
     if isinstance(pred, ValAtom):
         p, rel, bound = pred.p, pred.rel, pred.bound
         if rel in ("<=", "<"):
-            return _at_most(p, bound - (rel == "<"))
+            return _at_most(p, bound if rel == "<=" else bound - 1)
         if rel in (">=", ">"):
-            return _at_most(p, bound - (rel == ">="), negate=True)
+            return _at_most(p, bound - 1 if rel == ">=" else bound, negate=True)
         if rel == "=":
             lo, hi = _at_most(p, bound - 1, negate=True), _at_most(p, bound)
             return lambda n, d: lo(n, d) and hi(n, d)
