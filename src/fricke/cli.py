@@ -19,7 +19,7 @@ from . import __version__
 from .errors import FrickeError, ParameterError
 from .exactnum import format_rational, parse_point, parse_rational
 from .groups import make_group
-from .obstruct import classify, mine_invariants
+from .obstruct import DEFAULT_SCREEN_BUDGET, classify, mine_invariants
 from .orbitsearch import (
     DEFAULT_NODE_BUDGET,
     adelic_probe,
@@ -49,11 +49,10 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
         dest="fmt",
         help="human table or structured JSON",
     )
-    p.add_argument(
-        "--cache",
-        default=None,
-        help=f"orbit cache file (default: ${CACHE_ENV} if set)",
-    )
+
+
+def _add_cache_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cache", help=f"orbit cache file (default: ${CACHE_ENV} if set)")
 
 
 def _cache_path(args) -> str | None:
@@ -232,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_args(p_cls)
     p_cls.add_argument("--special-budget", type=int, default=8,
                        help="word-length bound of the special point scan")
-    p_cls.add_argument("--screen-budget", type=int, default=4,
+    p_cls.add_argument("--screen-budget", type=int, default=DEFAULT_SCREEN_BUDGET,
                        help="word-length bound of the arithmeticity screen")
     _add_common_args(p_cls)
     p_cls.set_defaults(handler=_cmd_classify)
@@ -252,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--depth", type=int, default=10)
         pp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
         _add_common_args(pp)
+        _add_cache_arg(pp)
         pp.set_defaults(handler=_cmd_probe, mode=mode)
 
     p_scan = sub.add_parser("scan", help="congruence miss scans, special points, mining")
@@ -265,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--depth", type=int, default=8)
     sc.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     _add_common_args(sc)
+    _add_cache_arg(sc)
     sc.set_defaults(handler=_cmd_congruence, mode="congruence")
 
     sp = scan_sub.add_parser("special")

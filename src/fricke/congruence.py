@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .errors import ParameterError
@@ -27,27 +28,6 @@ GAMMA0 = "gamma0"
 # ---------------------------------------------------------------------------
 # P1(Z/N): canonical representatives
 # ---------------------------------------------------------------------------
-
-def _gcdex(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _gcdex(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def _lift_unit(n: int, d: int, a: int) -> int:
-    """Lift a unit a modulo d (d dividing n) to a unit modulo n."""
-    u, v = 1, n
-    g = gcd(v, d)
-    while g > 1:
-        u *= g
-        v //= g
-        g = gcd(v, g)
-    # now n = u*v, d divides u, v is coprime to d: CRT(a mod u, 1 mod v)
-    _, x, y = _gcdex(u, v)
-    return (u * x + a * y * v) % n
-
 
 def p1_reduce(a: int, c: int, n: int) -> tuple[int, int]:
     """Canonical representative of the point (a : c) of P1(Z/n).
@@ -65,12 +45,12 @@ def p1_reduce(a: int, c: int, n: int) -> tuple[int, int]:
         raise ParameterError(f"({a} : {c}) is not primitive mod {n}")
     if a == 0:
         return (0, 1)
-    g, s, _ = _gcdex(a, n)
-    s %= n
-    # s*a = g (mod n) with g = gcd(a, n); make s a unit mod n
-    if gcd(s, n) != 1:
-        s = _lift_unit(n, n // g, s)
-    a, c = g, (s * c) % n
+    # each lift s of (a/g)^-1 mod n/g has s*a = g (mod n); one of them is a unit
+    g = gcd(a, n)
+    s = pow(a // g, -1, n // g)
+    while gcd(s, n) != 1:
+        s += n // g
+    c = s * c % n
     if g == 1:
         return (1, c)
     c = min((c * t) % n for t in range(1, n, n // g) if gcd(n, t) == 1)
@@ -133,20 +113,15 @@ def gamma_label(x: ProjPoint, n: int) -> OrbitLabel:
     return label_of_pair(GAMMA, x.a, x.c, n)
 
 
-# level -> (point -> orbit min, sorted orbit mins)
-_GAMMA0_CACHE: dict[int, tuple[dict, list]] = {}
-
-
+@cache
 def _gamma0_orbits(n: int) -> tuple[dict, list]:
-    """Orbits of P1(Z/n) under lower-triangular determinant-one matrices.
+    """Orbits of P1(Z/n) under lower-triangular determinant-one matrices,
+    as (point -> orbit min, sorted orbit mins).
 
     The group is generated by the unipotent [[1,0],[1,1]] and the diagonals
     diag(u, 1/u); on projective points the diagonal part acts as scaling of
     the first coordinate by squares of units.
     """
-    cached = _GAMMA0_CACHE.get(n)
-    if cached is not None:
-        return cached
     points = p1_points(n)
     squares = sorted({u * u % n for u in range(1, n) if gcd(u, n) == 1})
     to_min: dict[tuple[int, int], tuple[int, int]] = {}
@@ -166,11 +141,10 @@ def _gamma0_orbits(n: int) -> tuple[dict, list]:
         least = min(orbit)
         for pt in orbit:
             to_min[pt] = least
-    mins = sorted(set(to_min.values()))
-    _GAMMA0_CACHE[n] = (to_min, mins)
-    return _GAMMA0_CACHE[n]
+    return to_min, sorted(set(to_min.values()))
 
 
+@cache
 def _gamma0_orbit_index(n: int) -> dict[tuple[int, int], int]:
     _, mins = _gamma0_orbits(n)
     return {key: i for i, key in enumerate(mins)}

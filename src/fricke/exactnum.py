@@ -203,24 +203,28 @@ def prime_factors(n: int) -> dict[int, int]:
 # valuations and residues
 # ---------------------------------------------------------------------------
 
+def vp_pair(n: int, d: int, p: int) -> int:
+    """v_p(n/d) of a reduced pair, n != 0, p prime: v_p(n) or else -v_p(d)."""
+    v = 0
+    n = abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    if v:
+        return v
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
 def vp(x: Rational | int, p: int) -> int:
     """p-adic valuation of a nonzero rational: v_p(num) - v_p(den)."""
     require_prime(p)
     x = Fraction(x)
     if x == 0:
         raise DomainError("valuation of 0 is undefined")
-    n = abs(x.numerator)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    if v:
-        return v
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return vp_pair(x.numerator, x.denominator, p)
 
 
 def residue_mod_pk(x: Rational | int, p: int, k: int = 1) -> int:

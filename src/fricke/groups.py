@@ -225,10 +225,10 @@ def make_group(u2: Rational, two_t: Rational) -> FrickeGroup:
     )
 
     # construction-time guard: the fixed parabolic word must translate by -2t
-    p = word_matrix(g, PARABOLIC_WORD)
-    if p.c != 0 or p.a != p.d or Fraction(p.b, p.d) != -two_t:
+    _, shift = parabolic_at_infinity(g)
+    if shift != -two_t:
         raise InternalCheckError(
-            f"word {PARABOLIC_WORD} evaluated to {p}, expected translation by {-two_t}"
+            f"word {PARABOLIC_WORD} translates by {shift}, expected {-two_t}"
         )
 
     return replace(g, support_primes=_support_primes(g))
@@ -248,18 +248,18 @@ def lambda_generators() -> list[Word]:
 
 
 def _support_primes(g: FrickeGroup) -> frozenset[int]:
-    """Primes in the denominators of the det-1 normalized kernel generators."""
+    """Primes in the denominators of the det-1 normalized kernel generators:
+    those of s = sqrt(det m), as m is primitive and some entry is prime to
+    any given prime of s."""
     primes: set[int] = set()
     for w in LAMBDA_WORDS:
-        m = word_matrix(g, w)
-        det = m.det()
+        det = word_matrix(g, w).det()
         s = isqrt(det)
         if s * s != det:
             raise InternalCheckError(
                 f"kernel generator {w} has non-square determinant {det}"
             )
-        for entry in m:
-            primes.update(prime_factors(Fraction(entry, s).denominator))
+        primes.update(prime_factors(s))
     return frozenset(primes)
 
 

@@ -319,8 +319,11 @@ def verify_invariance(
 MINER_VERIFY_SAMPLES = 10 ** 4
 MINER_POOL_SIZE = 1000
 # Deepest orbit mine_invariants accepts: the orbit triples per level, and on
-# (1/15, 8) with primes 3, 5 depth 9 takes about 6 s and depth 10 about 28 s.
+# (1/15, 8) with primes 3, 5 depth 9 takes about 1.6 s and depth 10 about 3.7 s.
 MINER_MAX_DEPTH = 9
+# Most distinct primes mine_invariants accepts: the candidates grow with the
+# square of the atom count, and 6 primes at depth 9 take about 6.5 s.
+MINER_MAX_PRIMES = 6
 _RES_ATOM_PRIME_CAP = 7   # residue subsets are enumerated only for p <= 7
 
 
@@ -344,10 +347,6 @@ def _candidate_atoms(primes: Sequence[int]) -> list[Predicate]:
     return atoms
 
 
-def _atom_prime(atom: Predicate) -> int:
-    return atom.p  # both atom kinds carry .p
-
-
 def candidate_predicates(primes: Sequence[int]) -> list[Predicate]:
     """The fixed hypothesis space searched by the miner, in canonical order.
 
@@ -365,29 +364,28 @@ def candidate_predicates(primes: Sequence[int]) -> list[Predicate]:
         out.append(exactly_one_negative(p, q))
     for i, a1 in enumerate(atoms):
         for a2 in atoms[i + 1:]:
-            if _atom_prime(a1) < _atom_prime(a2):
+            if a1.p < a2.p:  # both atom kinds carry .p
                 out.append(And((a1, a2)))
     return out
 
 
 def _orbit_values(
     g: FrickeGroup, seeds: Iterable[ProjPoint], depth: int
-) -> list[Fraction]:
-    """Finite nonzero values in the orbit of the seeds under words up to depth."""
-    frontier = list(dict.fromkeys(seeds))
-    seen: set[ProjPoint] = set(frontier)
+) -> list[tuple[int, int]]:
+    """Finite nonzero values in the orbit of the seeds under words up to
+    depth, as reduced (num, den) pairs in discovery order."""
+    seen: dict[ProjPoint, None] = dict.fromkeys(seeds)
+    frontier = list(seen)
     for _ in range(depth):
         nxt = []
         for pt in frontier:
             for ch in "AaBb":
                 img = apply(g.letter_matrix(ch), pt)
                 if img not in seen:
-                    seen.add(img)
+                    seen[img] = None
                     nxt.append(img)
         frontier = nxt
-    return sorted(
-        (pt.to_rational() for pt in seen if not pt.is_infinity and pt.a != 0),
-    )
+    return [(pt.a, pt.c) for pt in seen if pt.c and pt.a]
 
 
 def _probe_pool(primes: Sequence[int], seed: int) -> list[Fraction]:
@@ -434,8 +432,9 @@ def _membership_bits(
     out = leaves.get(pred)
     if out is None:
         test = compile_predicate(pred)
+        # one bit string: linear in len(xs), where a sum of shifts is quadratic
         out = leaves[pred] = tuple(
-            sum(1 << i for i, (n, d) in enumerate(xs) if test(n, d))
+            int("".join("1" if test(n, d) else "0" for n, d in reversed(xs)), 2)
             for xs in (data, pool)
         )
     return out
@@ -461,7 +460,9 @@ def mine_invariants(
     if not primes:
         raise ParameterError("at least one prime is required")
     primes = sorted(set(primes))
-    data = [(x.numerator, x.denominator) for x in _orbit_values(g, seeds, depth)]
+    if len(primes) > MINER_MAX_PRIMES:
+        raise ParameterError(f"at most {MINER_MAX_PRIMES} distinct primes, got {len(primes)}")
+    data = _orbit_values(g, seeds, depth)
     if not data:
         return []
     pool = [(x.numerator, x.denominator) for x in _probe_pool(primes, seed)]

@@ -32,7 +32,6 @@ from .exactnum import (
     Rational,
     ball_trace_contains,
     format_rational,
-    reduce_point,
     require_prime,
     vp,
 )
@@ -41,6 +40,7 @@ from .groups import (
     FrickeGroup,
     apply,
     classify_element,
+    fixed_points,
     word_matrix,
     IDENTITY,
 )
@@ -287,13 +287,8 @@ def special_point_scan(g: FrickeGroup, max_len: int) -> list[tuple[ProjPoint, Wo
             disc = (a - d) ** 2 + 4 * b * c
             if disc > 0 and isqrt(disc) ** 2 == disc:
                 for w in (word[i:] + word[:i] for i in range(p)):
-                    m = word_matrix(g, w)
-                    s = isqrt((m.a - m.d) ** 2 + 4 * m.b * m.c)
-                    if m.c != 0:
-                        record(reduce_point(m.a - m.d + s, 2 * m.c), w)
-                        record(reduce_point(m.a - m.d - s, 2 * m.c), w)
-                    else:
-                        record(reduce_point(m.b, m.d - m.a), w)
+                    for pt in fixed_points(word_matrix(g, w)).points:
+                        record(pt, w)
         if t < max_len:
             r = word[t - p]
             for ch, la, lb, lc, ld in letters[_LETTER_RANK[r]:]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, ParameterError
-from .exactnum import require_prime, vp
+from .exactnum import require_prime, vp, vp_pair
 
 _RELATIONS = ("<=", "<", "=", ">=", ">", "odd", "even")
 
@@ -215,21 +215,6 @@ def parse_predicate(text: str) -> Predicate:
 # compiled form for hot loops
 # ---------------------------------------------------------------------------
 
-def _vp_pair(n: int, d: int, p: int) -> int:
-    # valuation of the reduced fraction n/d, n != 0
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    if v:
-        return v
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
 def _at_most(p: int, c: int, negate: bool = False) -> Callable[[int, int], bool]:
     # v_p(n/d) <= c on a reduced pair, or v_p(n/d) > c when negated
     if c < 0:
@@ -256,8 +241,8 @@ def compile_predicate(pred: Predicate) -> Callable[[int, int], bool]:
             lo, hi = _at_most(p, bound - 1, negate=True), _at_most(p, bound)
             return lambda n, d: lo(n, d) and hi(n, d)
         if rel == "odd":
-            return lambda n, d: _vp_pair(n, d, p) % 2 == 1
-        return lambda n, d: _vp_pair(n, d, p) % 2 == 0
+            return lambda n, d: vp_pair(n, d, p) % 2 == 1
+        return lambda n, d: vp_pair(n, d, p) % 2 == 0
     if isinstance(pred, ResAtom):
         p, m, allowed = pred.p, pred.p ** pred.k, pred.allowed
 

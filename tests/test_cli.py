@@ -9,7 +9,7 @@ import pytest
 
 import fricke
 from fricke.cli import main
-from fricke.obstruct import MINER_MAX_DEPTH
+from fricke.obstruct import MINER_MAX_DEPTH, MINER_MAX_PRIMES
 from fricke.orbitsearch import SPECIAL_SCAN_MAX_LEN
 
 
@@ -98,6 +98,27 @@ def test_scan_mine_depth_past_the_cap_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "depth must be in" in err
+
+
+def test_scan_mine_too_many_primes_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "mine", "--u2", "1/15", "--twot", "8",
+        "--primes", "2,3,5,7,11,13,17", "--depth", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"at most {MINER_MAX_PRIMES} distinct primes, got 7" in err
+
+
+def test_only_orbit_commands_take_cache(capsys, tmp_path):
+    # classify, scan special and scan mine enumerate no orbits
+    for argv in (["classify"], ["scan", "special", "--maxlen", "2"],
+                 ["scan", "mine", "--primes", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--u2", "1/4", "--twot", "4", "--cache", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_classify_large_semiprime_denominator_finishes():

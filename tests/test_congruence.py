@@ -35,7 +35,11 @@ def _brute_reduce(a, c, n):
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 12, 16, 27, 33, 45])
+# at 6, 12, 20, 28, 33, 45, 60, 63 and 100 some first inverse is no unit
+# mod n, and p1_reduce has to step to another lift
+@pytest.mark.parametrize(
+    "n", [2, 3, 4, 5, 6, 8, 9, 12, 16, 20, 27, 28, 33, 45, 60, 63, 100]
+)
 def test_p1_reduce_matches_brute_force(n):
     for a in range(n):
         for c in range(n):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +19,7 @@ from fricke.exactnum import (
     reduce_point,
     residue_mod_pk,
     vp,
+    vp_pair,
 )
 
 nonzero_rationals = st.fractions(
@@ -137,6 +138,27 @@ def test_vp_errors():
         vp(Fraction(0), 3)
     with pytest.raises(ParameterError):
         vp(Fraction(1, 2), 4)
+
+
+def test_vp_pair_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(min_value=-10 ** 12, max_value=10 ** 12).filter(bool),
+        st.integers(min_value=1, max_value=10 ** 12),
+        st.sampled_from([2, 3, 5, 7, 11, 13, 101, 65537, 10 ** 9 + 7]),
+        st.integers(min_value=-30, max_value=30),
+    )
+    def agrees(n, d, p, k):
+        # scale by p^k so that large valuations of either sign occur
+        n, d = (n * p ** k, d) if k >= 0 else (n, d * p ** -k)
+        h = gcd(n, d)
+        n, d = n // h, d // h
+        expected = sympy.multiplicity(p, abs(n)) - sympy.multiplicity(p, d)
+        assert vp_pair(n, d, p) == expected, (n, d, p)
+
+    agrees()
 
 
 @given(nonzero_rationals, nonzero_rationals, small_primes)

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from fricke.errors import DomainError, InvalidGroupError, ParameterError
-from fricke.exactnum import INFINITY, ProjPoint, point_of, reduce_point
+from fricke.errors import DomainError, InternalCheckError, InvalidGroupError, ParameterError
+from fricke.exactnum import INFINITY, ProjPoint, point_of, prime_factors, reduce_point
 from fricke.groups import (
     COMMUTATOR_WORD,
     ElementClass,
+    LAMBDA_WORDS,
     PARABOLIC_WORD,
     ProjMatrix,
     apply,
@@ -217,6 +219,37 @@ def test_support_primes():
     assert make_group(1, 6).support_primes == frozenset()
     assert FLAGSHIP.support_primes == frozenset({2})
     assert 3 in make_group(Fraction(1, 4), 4).support_primes
+
+
+def _support_primes_oracle(g):
+    """The per-entry definition: the primes of every entry's denominator."""
+    primes: set[int] = set()
+    for w in LAMBDA_WORDS:
+        m = word_matrix(g, w)
+        det = m.det()
+        s = isqrt(det)
+        if s * s != det:
+            raise InternalCheckError(
+                f"kernel generator {w} has non-square determinant {det}"
+            )
+        for entry in m:
+            primes.update(prime_factors(Fraction(entry, s).denominator))
+    return frozenset(primes)
+
+
+def test_support_primes_match_per_entry_denominators():
+    rng = random.Random(4242)
+    groups = [random_valid_group(rng, bound=1000) for _ in range(200)]
+    for a in range(1, 7):
+        for b in range(1, 7):
+            for c in range(1, 31):
+                for d in (1, 2, 3, 5):
+                    u2, two_t = Fraction(a, b), Fraction(c, d)
+                    if u2 < two_t / 2 - 1:
+                        groups.append(make_group(u2, two_t))
+    assert len(groups) > 1000
+    for g in groups:
+        assert g.support_primes == _support_primes_oracle(g), g.name
 
 
 # ---------------------------------------------------------------- screen

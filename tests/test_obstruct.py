@@ -339,6 +339,8 @@ def test_miner_parameter_errors():
     for depth in (0, obstruct.MINER_MAX_DEPTH + 1):
         with pytest.raises(ParameterError, match="depth must be in"):
             mine_invariants(FLAGSHIP, [INFINITY], [3], depth=depth)
+    with pytest.raises(ParameterError, match="at most 6 distinct primes, got 7"):
+        mine_invariants(FLAGSHIP, [INFINITY], [2, 3, 5, 7, 11, 13, 17, 17], depth=1)
 
 
 def _mine_oracle(g, seeds, primes, depth, seed):
@@ -352,7 +354,7 @@ def _mine_oracle(g, seeds, primes, depth, seed):
     found = []
     for idx, cand in enumerate(candidate_predicates(primes)):
         test = compile_predicate(cand)
-        flags = [test(x.numerator, x.denominator) for x in data]
+        flags = [test(n, d) for n, d in data]
         if any(flags) and not all(flags):
             continue
         pool_flags = [test(x.numerator, x.denominator) for x in pool]
