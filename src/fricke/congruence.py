@@ -12,10 +12,10 @@ of k, q*L/gcd(L, p) for 2t = p/q at level L, as integer pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .exactnum import ProjPoint, format_rational, prime_factors
@@ -85,8 +85,7 @@ def _divisors(n: int) -> list[int]:
 # labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class OrbitLabel:
+class OrbitLabel(NamedTuple):
     """Canonical orbit key: for gamma, the pair +-(a, c) mod level taken
     lexicographically least; for gamma0, the least P1(Z/level) point of the
     enumerated lower-triangular orbit."""
@@ -186,8 +185,7 @@ def label_of_pair(flavor: str, num: int, den: int, n: int) -> OrbitLabel:
 # miss scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MissReport:
+class MissReport(NamedTuple):
     """Which labels at level base**exponent the cusp set reaches.
 
     hit maps each reached label to a witness (cusp representative,

@@ -205,6 +205,8 @@ def prime_factors(n: int) -> dict[int, int]:
 
 def vp_pair(n: int, d: int, p: int) -> int:
     """v_p(n/d) of a reduced pair, n != 0, p prime: v_p(n) or else -v_p(d)."""
+    if n == 0 or d == 0:
+        raise DomainError("valuation of 0 or infinity is undefined")
     v = 0
     n = abs(n)
     while n % p == 0:

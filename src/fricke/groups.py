@@ -8,7 +8,6 @@ projective action on P1(Q) never needs the irrational scalar normalizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import reduce as _reduce
@@ -115,8 +114,7 @@ def classify_element(m: ProjMatrix) -> ElementClass:
     return ElementClass.ELLIPTIC
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     """Fixed points of a non-identity matrix acting on P1.
 
     kind is 'rational_pair' (two points of P1(Q)), 'irrational_pair'
@@ -168,17 +166,37 @@ COMMUTATOR_WORD: Word = "ABab"
 LAMBDA_WORDS: tuple[Word, ...] = ("AA", "BB", "BAba", "ABAb", "ABBa")
 
 
-@dataclass(frozen=True)
 class FrickeGroup:
-    """Group of the family indexed by (u2, 2t), with cached generator data."""
+    """Group of the family indexed by (u2, 2t), with cached generator data.
 
-    u2: Fraction
-    t: Fraction
-    two_t: Fraction
-    gen1: ProjMatrix
-    gen2: ProjMatrix
-    support_primes: frozenset[int]
-    letters: dict[str, ProjMatrix] = field(repr=False, compare=False)
+    Read-only. Equality and hash cover every field but letters, which gen1
+    and gen2 determine; the orbit memo keys on them.
+    """
+
+    __slots__ = ("u2", "t", "two_t", "gen1", "gen2", "support_primes", "letters")
+
+    def __init__(self, u2: Fraction, t: Fraction, two_t: Fraction, gen1: ProjMatrix,
+                 gen2: ProjMatrix, support_primes: frozenset[int], letters: dict[str, ProjMatrix]):
+        for name, value in zip(self.__slots__, (u2, t, two_t, gen1, gen2, support_primes, letters)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.u2, self.t, self.two_t, self.gen1, self.gen2, self.support_primes)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FrickeGroup and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"FrickeGroup({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FrickeGroup is read-only: cannot assign {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def name(self) -> str:
@@ -214,15 +232,8 @@ def make_group(u2: Rational, two_t: Rational) -> FrickeGroup:
     gen1 = matrix_from_rows(t - 1, u2, 1, 1)
     gen2 = matrix_from_rows(u2, u2, 1, t - u2)
     letters = {"A": gen1, "a": mat_inv(gen1), "B": gen2, "b": mat_inv(gen2)}
-    g = FrickeGroup(
-        u2=u2,
-        t=t,
-        two_t=two_t,
-        gen1=gen1,
-        gen2=gen2,
-        support_primes=frozenset(),  # filled in once the guard has passed
-        letters=letters,
-    )
+    # the support primes are computed once the guard has passed
+    g = FrickeGroup(u2, t, two_t, gen1, gen2, frozenset(), letters)
 
     # construction-time guard: the fixed parabolic word must translate by -2t
     _, shift = parabolic_at_infinity(g)
@@ -231,7 +242,7 @@ def make_group(u2: Rational, two_t: Rational) -> FrickeGroup:
             f"word {PARABOLIC_WORD} translates by {shift}, expected {-two_t}"
         )
 
-    return replace(g, support_primes=_support_primes(g))
+    return FrickeGroup(u2, t, two_t, gen1, gen2, _support_primes(g), letters)
 
 
 def parabolic_at_infinity(g: FrickeGroup) -> tuple[Word, Fraction]:
@@ -250,8 +261,8 @@ def lambda_generators() -> list[Word]:
 def _support_primes(g: FrickeGroup) -> frozenset[int]:
     """Primes in the denominators of the det-1 normalized kernel generators:
     those of s = sqrt(det m), as m is primitive and some entry is prime to
-    any given prime of s."""
-    primes: set[int] = set()
+    any given prime of s. Each distinct s is factored once."""
+    roots: set[int] = set()
     for w in LAMBDA_WORDS:
         det = word_matrix(g, w).det()
         s = isqrt(det)
@@ -259,16 +270,15 @@ def _support_primes(g: FrickeGroup) -> frozenset[int]:
             raise InternalCheckError(
                 f"kernel generator {w} has non-square determinant {det}"
             )
-        primes.update(prime_factors(s))
-    return frozenset(primes)
+        roots.add(s)
+    return frozenset(p for s in roots for p in prime_factors(s))
 
 
 # ---------------------------------------------------------------------------
 # arithmeticity screen
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScreenResult:
+class ScreenResult(NamedTuple):
     """Outcome of the trace screen: a non-integral trace square certifies
     non-arithmeticity; 'inconclusive' decides nothing."""
 
@@ -281,6 +291,12 @@ class ScreenResult:
         return self.status == "not_arithmetic"
 
 
+# Longest word arithmeticity_screen accepts. Kernel words have even length,
+# and each even length costs about 10 times the last: on (1, 6), which has no
+# witness, length 10 takes about 1.7 s and 12 about 16 s.
+SCREEN_MAX_LEN = 10
+
+
 def arithmeticity_screen(g: FrickeGroup, max_len: int) -> ScreenResult:
     """Scan parity-kernel words up to max_len for a non-integral tr^2/det.
 
@@ -288,8 +304,8 @@ def arithmeticity_screen(g: FrickeGroup, max_len: int) -> ScreenResult:
     the square of a rational trace; for a group commensurable with the
     modular group it would be a rational algebraic integer, hence in Z.
     """
-    if max_len < 2:
-        raise ParameterError(f"screen length must be >= 2, got {max_len}")
+    if not 2 <= max_len <= SCREEN_MAX_LEN:
+        raise ParameterError(f"screen length must be in 2..{SCREEN_MAX_LEN}, got {max_len}")
     for w in reduced_words(max_len, min_len=1):
         if parity(w) != (0, 0):
             continue

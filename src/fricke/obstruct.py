@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyPredicateError, ParameterError
 from .exactnum import (
@@ -59,8 +58,7 @@ INTEGER_T_VIOLATION = "integer_t_violation"
 SPECIAL_POINT = "special_point"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Machine-recheckable certificate produced by one of the checks."""
 
     kind: str
@@ -162,8 +160,7 @@ def check_two_prime_obstruction(g: FrickeGroup, p: int, q: int) -> Witness | Non
     )
 
 
-@dataclass(frozen=True)
-class IntegerTReport:
+class IntegerTReport(NamedTuple):
     """Result of the integer-t clause checks; applicable is False when t is not
     an integer, in which case no clause was evaluated."""
 
@@ -239,8 +236,7 @@ def check_density_criterion(g: FrickeGroup) -> bool:
 # invariance verification by seeded sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvarianceResult:
+class InvarianceResult(NamedTuple):
     """Outcome of sampling-based invariance checking. A pass is evidence
     that the generators map the set into itself, not a proof."""
 
@@ -496,8 +492,7 @@ NO_KNOWN_OBSTRUCTION = "no_known_obstruction"
 DEFAULT_SCREEN_BUDGET = 4
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Aggregate classification outcome. The conclusion 'not_pseudomodular'
     is certified by the obstruction list; 'no_known_obstruction' makes no
     claim of pseudomodularity."""
@@ -508,11 +503,10 @@ class Verdict:
     obstructions: tuple[Witness, ...]
     density_all_finite_products: bool
     special_budget: int
-    conclusion: str = field(init=False)
 
-    def __post_init__(self):
-        conclusion = NOT_PSEUDOMODULAR if self.obstructions else NO_KNOWN_OBSTRUCTION
-        object.__setattr__(self, "conclusion", conclusion)
+    @property
+    def conclusion(self) -> str:
+        return NOT_PSEUDOMODULAR if self.obstructions else NO_KNOWN_OBSTRUCTION
 
     def to_dict(self) -> dict:
         screen = {"status": self.arithmetic_screen.status}

@@ -19,11 +19,10 @@ evidence bounded by the search depth, never proof.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import InternalCheckError, ParameterError
 from .exactnum import (
@@ -154,8 +153,7 @@ def _computed_bfs(g: FrickeGroup, depth: int, budget: int) -> BfsResult:
 # cusp membership testing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CuspTestResult:
+class CuspTestResult(NamedTuple):
     """kind is 'cusp' (witness maps infinity to the point), 'special'
     (witness is hyperbolic and fixes the point), or 'unknown'."""
 
@@ -309,8 +307,7 @@ def special_point_scan(g: FrickeGroup, max_len: int) -> list[tuple[ProjPoint, Wo
 # density probes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """found=True answers are verified exactly before being returned."""
 
     found: bool

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CacheError
 from .exactnum import ProjPoint, format_rational
@@ -55,8 +54,7 @@ def _translation_word(k: int) -> Word:
     return TRANSLATION_WORD * (-k)
 
 
-@dataclass(frozen=True, slots=True)
-class CuspRecord:
+class CuspRecord(NamedTuple):
     """One cusp with a witness word mapping infinity to it exactly."""
 
     point: ProjPoint

@@ -16,7 +16,6 @@ parse_predicate and str() round-trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -27,22 +26,52 @@ _RELATIONS = ("<=", "<", "=", ">=", ">", "odd", "even")
 
 
 class Predicate:
-    """Base class; subclasses implement evaluate(x) on nonzero rationals."""
+    """Base class of the immutable predicate nodes.
+
+    A subclass lists its fields in __slots__, is built from their values in
+    that order, and implements evaluate(x) on nonzero rationals. Two nodes
+    are equal when they have the same type and equal fields, so and(P, Q)
+    differs from or(P, Q).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
+
+    __delattr__ = __setattr__
 
     def evaluate(self, x: Fraction) -> bool:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class ValAtom(Predicate):
-    p: int
-    rel: str
-    bound: int = 0
+    __slots__ = ("p", "rel", "bound")
 
-    def __post_init__(self):
-        require_prime(self.p)
-        if self.rel not in _RELATIONS:
-            raise ParameterError(f"unknown valuation relation {self.rel!r}")
+    def __init__(self, p: int, rel: str, bound: int = 0):
+        require_prime(p)
+        if rel not in _RELATIONS:
+            raise ParameterError(f"unknown valuation relation {rel!r}")
+        super().__init__(p, rel, bound)
 
     def evaluate(self, x: Fraction) -> bool:
         v = vp(x, self.p)
@@ -73,19 +102,17 @@ def neg_valuation(p: int) -> ValAtom:
     return ValAtom(p, "<", 0)
 
 
-@dataclass(frozen=True)
 class ResAtom(Predicate):
-    p: int
-    k: int
-    allowed: frozenset[int]
+    __slots__ = ("p", "k", "allowed")
 
-    def __post_init__(self):
-        require_prime(self.p)
-        if self.k < 1:
-            raise ParameterError(f"residue precision must be >= 1, got {self.k}")
-        m = self.p ** self.k
-        if not all(0 <= r < m for r in self.allowed):
+    def __init__(self, p: int, k: int, allowed: frozenset[int]):
+        require_prime(p)
+        if k < 1:
+            raise ParameterError(f"residue precision must be >= 1, got {k}")
+        m = p ** k
+        if not all(0 <= r < m for r in allowed):
             raise ParameterError(f"residues must lie in [0, {m})")
+        super().__init__(p, k, allowed)
 
     def evaluate(self, x: Fraction) -> bool:
         if vp(x, self.p) < 0:
@@ -98,9 +125,8 @@ class ResAtom(Predicate):
         return f"res({self.p},{self.k},{{{inner}}})"
 
 
-@dataclass(frozen=True)
 class Not(Predicate):
-    child: Predicate
+    __slots__ = ("child",)
 
     def evaluate(self, x: Fraction) -> bool:
         return not self.child.evaluate(x)
@@ -109,9 +135,8 @@ class Not(Predicate):
         return f"not({self.child})"
 
 
-@dataclass(frozen=True)
 class And(Predicate):
-    parts: tuple[Predicate, ...]
+    __slots__ = ("parts",)
 
     def evaluate(self, x: Fraction) -> bool:
         return all(p.evaluate(x) for p in self.parts)
@@ -120,9 +145,8 @@ class And(Predicate):
         return "and(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
 class Or(Predicate):
-    parts: tuple[Predicate, ...]
+    __slots__ = ("parts",)
 
     def evaluate(self, x: Fraction) -> bool:
         return any(p.evaluate(x) for p in self.parts)
@@ -131,10 +155,8 @@ class Or(Predicate):
         return "or(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
 class Xor(Predicate):
-    left: Predicate
-    right: Predicate
+    __slots__ = ("left", "right")
 
     def evaluate(self, x: Fraction) -> bool:
         return self.left.evaluate(x) != self.right.evaluate(x)

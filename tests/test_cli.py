@@ -9,6 +9,7 @@ import pytest
 
 import fricke
 from fricke.cli import main
+from fricke.groups import SCREEN_MAX_LEN
 from fricke.obstruct import MINER_MAX_DEPTH, MINER_MAX_PRIMES
 from fricke.orbitsearch import SPECIAL_SCAN_MAX_LEN
 
@@ -88,6 +89,17 @@ def test_special_scan_lengths_past_the_cap_exit_2(capsys):
         assert code == 2
         assert out == ""
         assert "scan length must be in" in err
+
+
+def test_classify_screen_length_past_the_cap_exit_2(capsys):
+    # (1, 6) has no screen witness, so the screen runs to the full length
+    code, out, err = run_cli(
+        capsys, "classify", "--u2", "1", "--twot", "6",
+        "--screen-budget", str(SCREEN_MAX_LEN + 1),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"screen length must be in 2..{SCREEN_MAX_LEN}" in err
 
 
 def test_scan_mine_depth_past_the_cap_exit_2(capsys):
@@ -381,6 +393,23 @@ def test_python_dash_m_fricke_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert structured(proc.stdout)["result"]["conclusion"] == "not_pseudomodular"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every query is a fresh process, so each module the package imports
+    # is paid for on every query
+    code = (
+        "import sys; before = set(sys.modules); import fricke.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "fricke.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_output_is_independent_of_hash_randomization():

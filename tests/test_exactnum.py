@@ -138,6 +138,11 @@ def test_vp_errors():
         vp(Fraction(0), 3)
     with pytest.raises(ParameterError):
         vp(Fraction(1, 2), 4)
+    # 0 and infinity have no valuation
+    for p in (2, 3, 7):
+        for n, d in ((0, 1), (1, 0)):
+            with pytest.raises(DomainError):
+                vp_pair(n, d, p)
 
 
 def test_vp_pair_agrees_with_sympy():

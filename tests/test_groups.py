@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 from fricke.errors import DomainError, InternalCheckError, InvalidGroupError, ParameterError
+from fricke import groups
 from fricke.exactnum import INFINITY, ProjPoint, point_of, prime_factors, reduce_point
 from fricke.groups import (
     COMMUTATOR_WORD,
@@ -250,6 +251,30 @@ def test_support_primes_match_per_entry_denominators():
     assert len(groups) > 1000
     for g in groups:
         assert g.support_primes == _support_primes_oracle(g), g.name
+
+
+def test_support_primes_factor_each_distinct_root_once(monkeypatch):
+    # all five kernel generators have sqrt(det) = 6634088129359774771923961
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(groups, "prime_factors", counting)
+    g = make_group(Fraction(1, 3317044064679887385961981), 6)
+    assert calls == [6634088129359774771923961]
+    assert g.support_primes == frozenset(prime_factors(calls[0]))
+
+
+def test_group_is_read_only():
+    g = make_group(Fraction(6, 11), 6)
+    for field in ("u2", "support_primes", "letters"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, getattr(g, field))
+        with pytest.raises(AttributeError):
+            delattr(g, field)
+    assert g == FLAGSHIP and g.letters == FLAGSHIP.letters
 
 
 # ---------------------------------------------------------------- screen

@@ -121,6 +121,14 @@ def test_bfs_deterministic():
     assert a.records == b.records
 
 
+def test_rebuilt_group_is_equal_and_shares_the_bfs_memo():
+    g1, g2 = make_group(Fraction(6, 11), 6), make_group(Fraction(6, 11), 6)
+    assert g1 is not g2
+    assert g1 == g2 and hash(g1) == hash(g2)
+    assert g1 != make_group(Fraction(6, 11), 7)
+    assert cusp_bfs(g2, 5) is cusp_bfs(g1, 5)
+
+
 def _fraction_bfs(g, depth, budget):
     """The Fraction BFS that the integer-pair kernel replaced, as an oracle:
     (point, witness, depth, parity_tag) per record, and the truncation flag."""

@@ -46,6 +46,10 @@ def test_exactly_one_negative_examples():
 def test_zero_is_outside_the_domain():
     with pytest.raises(DomainError):
         eval_predicate(U35, 0)
+    # the compiled parity atoms compute v_p, which is undefined at 0
+    for text in ("odd(v3)", "even(v2)"):
+        with pytest.raises(DomainError):
+            compile_predicate(parse_predicate(text))(0, 1)
 
 
 def test_res_atom_false_at_negative_valuation():
@@ -117,6 +121,30 @@ def test_compiled_valuation_atoms_agree_with_eval_exhaustively():
                         x = _power_times(atom.p, k, m, n, sign)
                         got = compiled(x.numerator, x.denominator)
                         assert got == eval_predicate(atom, x), (str(atom), x)
+
+
+def test_nodes_are_equal_by_type_and_fields():
+    parts = (neg_valuation(3), ValAtom(5, ">=", 1))
+    assert And(parts) != Or(parts)
+    assert len({And(parts), Or(parts)}) == 2
+    assert Not(neg_valuation(2)) != neg_valuation(2)
+    for pred in SAMPLES:
+        twin = parse_predicate(str(pred))
+        assert twin is not pred
+        assert twin == pred and hash(twin) == hash(pred)
+    assert ValAtom(3, "<") == neg_valuation(3)
+    assert ResAtom(5, 1, frozenset({1, 4})) != ResAtom(5, 1, frozenset({1}))
+
+
+def test_nodes_are_read_only():
+    for pred in SAMPLES:
+        field = type(pred).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(pred, field, getattr(pred, field))
+        with pytest.raises(AttributeError):
+            delattr(pred, field)
+    with pytest.raises(TypeError):
+        Xor(neg_valuation(2))
 
 
 def test_invalid_atoms():
