@@ -19,7 +19,7 @@ from . import __version__
 from .errors import FrickeError, ParameterError
 from .exactnum import format_rational, parse_point, parse_rational
 from .groups import make_group
-from .obstruct import DEFAULT_SCREEN_BUDGET, classify, mine_invariants
+from .obstruct import classify, mine_invariants
 from .orbitsearch import (
     DEFAULT_NODE_BUDGET,
     adelic_probe,
@@ -116,8 +116,8 @@ def _parse_ints(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args, g, config):
-    verdict = classify(g, args.special_budget, screen_budget=args.screen_budget)
-    config.update(special_budget=args.special_budget, screen_budget=args.screen_budget)
+    verdict = classify(g, args.special_budget)
+    config["special_budget"] = args.special_budget
     lines = [
         f"conclusion                  {verdict.conclusion}",
         f"density in finite products  {str(verdict.density_all_finite_products).lower()}",
@@ -231,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_args(p_cls)
     p_cls.add_argument("--special-budget", type=int, default=8,
                        help="word-length bound of the special point scan")
-    p_cls.add_argument("--screen-budget", type=int, default=DEFAULT_SCREEN_BUDGET,
-                       help="word-length bound of the arithmeticity screen")
     _add_common_args(p_cls)
     p_cls.set_defaults(handler=_cmd_classify)
 

@@ -25,6 +25,12 @@ from .orbitsearch import DEFAULT_NODE_BUDGET, cusp_bfs
 GAMMA = "gamma"
 GAMMA0 = "gamma0"
 
+# Largest level n**j that miss_scan accepts. On a 2-core machine at depth 8,
+# gamma takes 3.0 s at level 256 on (6/11, 6), 9.7 s at 500 and 19 s at 800
+# (enumerate_labels is quadratic in the level); gamma0 takes 24 s at 6400 on
+# (1/4, 4).
+MISS_SCAN_MAX_LEVEL = 256
+
 # ---------------------------------------------------------------------------
 # P1(Z/N): canonical representatives
 # ---------------------------------------------------------------------------
@@ -244,7 +250,11 @@ def miss_scan(
     _require_level(n)
     if j < 1:
         raise ParameterError(f"exponent j must be >= 1, got {j}")
-    level = n ** j
+    level = 1
+    for _ in range(j):  # n >= 2, so this stops within log2(cap) + 1 steps
+        level *= n
+        if level > MISS_SCAN_MAX_LEVEL:
+            raise ParameterError(f"level {n}^{j} must be at most {MISS_SCAN_MAX_LEVEL}")
     all_labels = enumerate_labels(flavor, level)
     bfs = cusp_bfs(g, depth, budget, cache_path)
     p, q = g.two_t.numerator, g.two_t.denominator

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError, InvalidGroupError, ParameterError
 from .exactnum import ProjPoint, Rational, format_rational, prime_factors, reduce_point
-from .words import Word, parity, parse_word, reduced_words
+from .words import Word, parse_word
 
 # ---------------------------------------------------------------------------
 # projective integer matrices
@@ -291,26 +291,27 @@ class ScreenResult(NamedTuple):
         return self.status == "not_arithmetic"
 
 
-# Longest word arithmeticity_screen accepts. Kernel words have even length,
-# and each even length costs about 10 times the last: on (1, 6), which has no
-# witness, length 10 takes about 1.7 s and 12 about 16 s.
-SCREEN_MAX_LEN = 10
-
-
-def arithmeticity_screen(g: FrickeGroup, max_len: int) -> ScreenResult:
-    """Scan parity-kernel words up to max_len for a non-integral tr^2/det.
+def arithmeticity_screen(g: FrickeGroup) -> ScreenResult:
+    """The first parity-kernel word with a non-integral tr^2/det, if any.
 
     Elements of the kernel are rational matrices up to scale, so tr^2/det is
     the square of a rational trace; for a group commensurable with the
     modular group it would be a rational algebraic integer, hence in Z.
+
+    Two generator traces decide it at every length. Let x^2, y^2, z^2 be
+    tr^2/det of g1, g2 and g1 g2. By Fricke's trace polynomial, the trace of
+    a kernel word is an integer polynomial in x^2, y^2, z^2 and xyz: the
+    symmetries A -> -A and B -> -B force i = j = k (mod 2) in each monomial
+    x^i y^j z^k. Now xyz = x^2 + y^2 + z^2 - 2 - tr[g1, g2], and
+    tr[g1, g2] = +-2 as COMMUTATOR_WORD is parabolic, so xyz = z^2 + c with
+    c an integer when x^2 and y^2 are. Then z^2 is a rational root of the
+    monic integer quadratic (Z + c)^2 - x^2 y^2 Z, hence an integer, and every
+    kernel trace is integral. Otherwise the first kernel word in length,
+    then letter order with a non-integral value is AA, with value
+    (x^2 - 2)^2, or, when x^2 is an integer, BB, with value (y^2 - 2)^2.
     """
-    if not 2 <= max_len <= SCREEN_MAX_LEN:
-        raise ParameterError(f"screen length must be in 2..{SCREEN_MAX_LEN}, got {max_len}")
-    for w in reduced_words(max_len, min_len=1):
-        if parity(w) != (0, 0):
-            continue
-        m = word_matrix(g, w)
+    for w, m in (("AA", g.gen1), ("BB", g.gen2)):
         q = Fraction(m.trace() ** 2, m.det())
         if q.denominator != 1:
-            return ScreenResult("not_arithmetic", witness=w, value=q)
+            return ScreenResult("not_arithmetic", witness=w, value=(q - 2) ** 2)
     return ScreenResult("inconclusive")

@@ -489,9 +489,6 @@ def mine_invariants(
 NOT_PSEUDOMODULAR = "not_pseudomodular"
 NO_KNOWN_OBSTRUCTION = "no_known_obstruction"
 
-DEFAULT_SCREEN_BUDGET = 4
-
-
 class Verdict(NamedTuple):
     """Aggregate classification outcome. The conclusion 'not_pseudomodular'
     is certified by the obstruction list; 'no_known_obstruction' makes no
@@ -537,14 +534,11 @@ def relevant_primes(g: FrickeGroup) -> list[int]:
     return sorted(primes)
 
 
-def classify(
-    g: FrickeGroup,
-    special_budget: int,
-    screen_budget: int = DEFAULT_SCREEN_BUDGET,
-) -> Verdict:
+def classify(g: FrickeGroup, special_budget: int) -> Verdict:
     """Run every obstruction criterion, the density criterion, the trace
-    screen, and a special-point scan up to the given word length (0 skips
-    the scan)."""
+    screen on the generators AA and BB (which decides it for every kernel
+    word; see arithmeticity_screen), and a special-point scan up to the
+    given word length (0 skips the scan)."""
     from .orbitsearch import special_point_scan
 
     if special_budget < 0:
@@ -581,7 +575,7 @@ def classify(
     return Verdict(
         u2=g.u2,
         two_t=g.two_t,
-        arithmetic_screen=arithmeticity_screen(g, screen_budget),
+        arithmetic_screen=arithmeticity_screen(g),
         obstructions=tuple(obstructions),
         density_all_finite_products=check_density_criterion(g),
         special_budget=special_budget,

@@ -7,8 +7,6 @@ leftmost letter acts last, so word_matrix('aB') means g1^-1 applied after g2.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import ParameterError
 
 Word = str
@@ -53,24 +51,3 @@ def parity(w: str) -> tuple[int, int]:
     e1 = sum(1 for ch in w if ch in "Aa")
     e2 = len(w) - e1
     return (e1 & 1, e2 & 1)
-
-
-def reduced_words(max_len: int, min_len: int = 0) -> Iterator[Word]:
-    """All freely reduced words with min_len <= len <= max_len.
-
-    Deterministic order: by length, then lexicographic in the letter
-    order A < a < B < b.
-    """
-    if min_len <= 0:
-        yield ""
-    layer = [""]
-    for length in range(1, max_len + 1):
-        nxt = []
-        for w in layer:
-            for ch in LETTERS:
-                if w and INVERSE[w[-1]] == ch:
-                    continue
-                nxt.append(w + ch)
-        layer = nxt
-        if length >= min_len:
-            yield from layer

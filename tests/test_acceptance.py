@@ -67,7 +67,7 @@ def test_criterion_01_square_sweep():
     for p in cfg["primes"]:
         for t in range(cfg["t_min"], cfg["t_max"] + 1):
             g = make_group(Fraction(1, p * p), 2 * t)
-            verdict = classify(g, special_budget=2, screen_budget=2)
+            verdict = classify(g, special_budget=2)
             cases += 1
             witnesses = [
                 w
@@ -175,7 +175,7 @@ def test_criterion_04_flagship():
         print("special point scan transcript:")
         print("\n".join(transcript))
 
-    screen = arithmeticity_screen(g, 2)
+    screen = arithmeticity_screen(g)
     screen_ok = (
         screen.status == "not_arithmetic"
         and screen.witness == cfg["screen_witness"]

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -9,9 +10,9 @@ import pytest
 
 import fricke
 from fricke.cli import main
-from fricke.groups import SCREEN_MAX_LEN
+from fricke.congruence import MISS_SCAN_MAX_LEVEL
 from fricke.obstruct import MINER_MAX_DEPTH, MINER_MAX_PRIMES
-from fricke.orbitsearch import SPECIAL_SCAN_MAX_LEN
+from fricke.orbitsearch import PADIC_MAX_MODULUS_BITS, SPECIAL_SCAN_MAX_LEN
 
 
 def run_cli(capsys, *argv):
@@ -91,15 +92,12 @@ def test_special_scan_lengths_past_the_cap_exit_2(capsys):
         assert "scan length must be in" in err
 
 
-def test_classify_screen_length_past_the_cap_exit_2(capsys):
-    # (1, 6) has no screen witness, so the screen runs to the full length
-    code, out, err = run_cli(
-        capsys, "classify", "--u2", "1", "--twot", "6",
-        "--screen-budget", str(SCREEN_MAX_LEN + 1),
-    )
-    assert code == 2
-    assert out == ""
-    assert f"screen length must be in 2..{SCREEN_MAX_LEN}" in err
+def test_classify_takes_no_screen_budget(capsys):
+    # the screen is decided by AA and BB, so it has no length to bound
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--u2", "1", "--twot", "6", "--screen-budget", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --screen-budget" in capsys.readouterr().err
 
 
 def test_scan_mine_depth_past_the_cap_exit_2(capsys):
@@ -410,6 +408,70 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = set(proc.stdout.split())
     assert "fricke.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+LEVEL_CAP = f"must be at most {MISS_SCAN_MAX_LEVEL}"
+MODULUS_BOUND = (
+    f"sum of precision * bit length of prime over the targets must be "
+    f"at most {PADIC_MAX_MODULUS_BITS}"
+)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["scan", "congruence", "--flavor", "gamma", "--N", "800"], f"level 800^1 {LEVEL_CAP}"),
+    (["scan", "congruence", "--flavor", "gamma0", "--N", "6400"], f"level 6400^1 {LEVEL_CAP}"),
+    (["scan", "congruence", "--flavor", "gamma", "--N", "2", "--j", "12"], f"level 2^12 {LEVEL_CAP}"),
+    (["scan", "congruence", "--flavor", "gamma", "--N", "2", "--j", "1000000000"],
+     f"level 2^1000000000 {LEVEL_CAP}"),
+    (["probe", "padic", "--y", "1/4", "--targets", "7:100000", "--depth", "6"],
+     f"{MODULUS_BOUND}, got 300000"),
+], ids=["gamma-800", "gamma0-6400", "gamma-2^12", "gamma-2^1000000000", "padic-7^100000"])
+def test_large_levels_and_precisions_exit_2_at_once(argv, error):
+    # without the caps the gamma scan at level 800 ran for 19 s, the larger
+    # levels for longer, and the probe ended in a traceback after 9 s
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
+    proc = subprocess.run(
+        [sys.executable, "-m", "fricke.cli", *argv, "--u2", "6/11", "--twot", "6"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
+
+
+def test_every_export_is_the_defining_modules_object():
+    for name in fricke.__all__:
+        module = importlib.import_module(f"fricke.{fricke._EXPORTS[name]}")
+        obj = getattr(fricke, name)
+        assert obj is getattr(module, name), name
+        # a function or class is exported from the module that defines it
+        if getattr(obj, "__module__", "").startswith("fricke."):
+            assert obj.__module__ == module.__name__, name
+    assert len(set(fricke.__all__)) == len(fricke.__all__) == 46
+    with pytest.raises(AttributeError):
+        fricke.reduced_words
+
+
+def test_exports_follow_a_rebinding_in_their_module(monkeypatch):
+    # the benchmark tracer wraps functions by rebinding them in their modules
+    from fricke import groups
+
+    assert fricke.make_group is groups.make_group
+    monkeypatch.setattr(groups, "make_group", len)
+    assert fricke.make_group is len
+
+
+def test_importing_make_group_loads_no_later_layer():
+    code = (
+        "import sys; from fricke import make_group; "
+        "print(' '.join(m for m in sys.modules if m.startswith('fricke')))"
+    )
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "fricke.groups" in loaded
+    assert not loaded & {"fricke.obstruct", "fricke.predicates", "fricke.congruence", "fricke.cli"}
 
 
 def test_output_is_independent_of_hash_randomization():

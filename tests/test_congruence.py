@@ -7,6 +7,7 @@ import pytest
 from fricke.congruence import (
     GAMMA,
     GAMMA0,
+    MISS_SCAN_MAX_LEVEL,
     MissReport,
     enumerate_labels,
     gamma0_label,
@@ -252,6 +253,15 @@ def test_miss_scan_validation():
         miss_scan(SQUARE, GAMMA, 2, 0, depth=2)
     with pytest.raises(ParameterError):
         miss_scan(SQUARE, "frobenius", 2, 1, depth=2)
+
+
+def test_miss_scan_level_cap():
+    assert MISS_SCAN_MAX_LEVEL == 2 ** 8
+    assert miss_scan(SQUARE, GAMMA0, 2, 8, depth=2).level == MISS_SCAN_MAX_LEVEL
+    # 2^1000000000 is refused before it is computed
+    for n, j in ((MISS_SCAN_MAX_LEVEL + 1, 1), (2, 9), (2, 10 ** 9), (10 ** 100, 1)):
+        with pytest.raises(ParameterError, match=f"must be at most {MISS_SCAN_MAX_LEVEL}"):
+            miss_scan(SQUARE, GAMMA, n, j, depth=2)
 
 
 def test_miss_scan_fractional_translation_period():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
@@ -26,7 +27,7 @@ from fricke.groups import (
     parabolic_at_infinity,
     word_matrix,
 )
-from fricke.words import concat, invert_word, parity, reduced_words
+from fricke.words import LETTERS, concat, invert_word, is_reduced, parity
 
 FLAGSHIP = make_group(Fraction(6, 11), 6)
 
@@ -280,28 +281,67 @@ def test_group_is_read_only():
 # ---------------------------------------------------------------- screen
 
 def test_screen_flagship():
-    res = arithmeticity_screen(FLAGSHIP, 2)
+    res = arithmeticity_screen(FLAGSHIP)
     assert res.status == "not_arithmetic"
     assert res.witness == "AA"
     assert res.value == Fraction(4489, 256)
 
 
 def test_screen_modular_subgroup_inconclusive():
-    res = arithmeticity_screen(make_group(1, 6), 6)
+    res = arithmeticity_screen(make_group(1, 6))
     assert res.status == "inconclusive"
     assert res.witness is None
 
 
 def test_screen_small_denominator():
-    res = arithmeticity_screen(make_group(Fraction(1, 4), 4), 2)
+    res = arithmeticity_screen(make_group(Fraction(1, 4), 4))
     assert res.status == "not_arithmetic"
     assert res.value.denominator > 1
 
 
 def test_screen_scans_only_parity_kernel_words():
     # every word the screen can cite lies in the parity kernel
-    res = arithmeticity_screen(FLAGSHIP, 4)
+    res = arithmeticity_screen(FLAGSHIP)
     assert res.witness is None or parity(res.witness) == (0, 0)
+
+
+def _screen_oracle(g, max_len):
+    """The word walk the closed form replaced: the first parity-kernel word
+    of length <= max_len, by length and then letter order A < a < B < b,
+    with a non-integral tr^2/det, as a ScreenResult."""
+    for n in range(1, max_len + 1):
+        for letters in itertools.product(LETTERS, repeat=n):
+            w = "".join(letters)
+            if not is_reduced(w) or parity(w) != (0, 0):
+                continue
+            m = word_matrix(g, w)
+            q = Fraction(m.trace() ** 2, m.det())
+            if q.denominator != 1:
+                return groups.ScreenResult("not_arithmetic", witness=w, value=q)
+    return groups.ScreenResult("inconclusive")
+
+
+def test_screen_matches_the_word_walk():
+    # BB certifies (5/3, 6): x^2 = 27 and y^2 = 81/5. Both values are
+    # integers on (1, 6) and (1/4, 5), so no kernel word certifies them.
+    named = [(Fraction(5, 3), 6), (1, 6), (Fraction(1, 4), 5)]
+    for u2, two_t in named:
+        g = make_group(u2, two_t)
+        assert arithmeticity_screen(g) == _screen_oracle(g, 8), g.name
+    assert arithmeticity_screen(make_group(Fraction(5, 3), 6)) == (
+        "not_arithmetic", "BB", Fraction(5041, 25))
+    rng = random.Random(20)
+    witnesses = {}
+    while len(witnesses) < 300:
+        two_t = Fraction(rng.randint(5, 80), rng.choice((1, 2, 3, 4, 5, 7)))
+        u2 = Fraction(rng.randint(1, 50), rng.randint(1, 9))
+        if not 0 < u2 < two_t / 2 - 1:
+            continue
+        g = make_group(u2, two_t)
+        res = arithmeticity_screen(g)
+        assert res == _screen_oracle(g, 6), g.name
+        witnesses[g] = res.witness
+    assert set(witnesses.values()) == {"AA", "BB", None}
 
 
 def test_inverse_word_matrix_agrees():
@@ -316,7 +356,3 @@ def test_matrix_from_rows_clears_denominators():
     m = matrix_from_rows(Fraction(2), Fraction(6, 11), 1, 1)
     assert m == ProjMatrix(22, 6, 11, 11)
 
-
-def test_reduced_words_parity_filter_order():
-    kernel = [w for w in reduced_words(2, min_len=1) if parity(w) == (0, 0)]
-    assert kernel[0] == "AA"

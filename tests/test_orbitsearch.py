@@ -27,6 +27,7 @@ from fricke.groups import (
 )
 from fricke.orbitsearch import (
     DEFAULT_NODE_BUDGET,
+    PADIC_MAX_MODULUS_BITS,
     SPECIAL_SCAN_MAX_LEN,
     CuspRecord,
     CuspTestResult,
@@ -620,6 +621,16 @@ def test_normalize_targets():
         normalize_targets([(4, 1)])
     with pytest.raises(ParameterError):
         normalize_targets([(3, 0)])
+
+
+def test_normalize_targets_bounds_the_modulus():
+    # the bound counts k * p.bit_length() bits per target: 2 bits for 2 and 3
+    assert PADIC_MAX_MODULUS_BITS == 4096
+    assert normalize_targets([(7, 1000)]) == [(7, 1000)]
+    assert normalize_targets([(2, 1000), (3, 1048)]) == [(2, 1000), (3, 1048)]
+    for targets in ([(2, 2049)], [(2, 1000), (3, 1049)], [(7, 10 ** 18)]):
+        with pytest.raises(ParameterError, match="must be at most 4096"):
+            normalize_targets(targets)
 
 
 def test_probe_determinism():

@@ -9,7 +9,6 @@ from fricke.words import (
     parity,
     parse_word,
     reduce_word,
-    reduced_words,
 )
 
 letter_strings = st.text(alphabet="AaBb", max_size=12)
@@ -51,13 +50,3 @@ def test_parity_is_a_homomorphism(w1, w2):
     p1, p2 = parity(reduce_word(w1)), parity(reduce_word(w2))
     combined = parity(concat(w1, w2))
     assert combined == ((p1[0] + p2[0]) % 2, (p1[1] + p2[1]) % 2)
-
-
-def test_enumeration_is_length_then_lex():
-    ws = list(reduced_words(2))
-    assert ws[0] == ""
-    assert ws[1:5] == ["A", "a", "B", "b"]
-    assert ws[5] == "AA"  # 'Aa' is not freely reduced
-    assert all(is_reduced(w) for w in ws)
-    # each length-2 word over 4 letters minus the 4 cancelling pairs
-    assert len([w for w in ws if len(w) == 2]) == 12
