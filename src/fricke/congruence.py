@@ -30,6 +30,10 @@ GAMMA0 = "gamma0"
 # (enumerate_labels is quadratic in the level); gamma0 takes 24 s at 6400 on
 # (1/4, 4).
 MISS_SCAN_MAX_LEVEL = 256
+# Most translate steps, BFS records x period, that miss_scan labels. Gamma at
+# level 256 on (6/11, 6), period 128, takes 1.9 s at depth 8 (2.8M steps),
+# 7.2 s at depth 9 (9.1M) and 21 s at depth 10 (29M) on 2 cores.
+MISS_SCAN_MAX_STEPS = 4_000_000
 
 # ---------------------------------------------------------------------------
 # P1(Z/N): canonical representatives
@@ -259,6 +263,9 @@ def miss_scan(
     bfs = cusp_bfs(g, depth, budget, cache_path)
     p, q = g.two_t.numerator, g.two_t.denominator
     period = q * level // gcd(level, p)
+    if len(bfs.nums) * period > MISS_SCAN_MAX_STEPS:
+        raise ParameterError(f"{len(bfs.nums)} records x period {period} = {len(bfs.nums) * period}"
+                             f" translate steps must be at most {MISS_SCAN_MAX_STEPS}")
     total = len(all_labels)
     hit: dict[OrbitLabel, tuple[Fraction, int]] = {}
     label_memo: dict[tuple[int, int], OrbitLabel] = {}

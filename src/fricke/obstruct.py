@@ -24,6 +24,7 @@ from .exactnum import (
     require_prime,
     residue_mod_pk,
     vp,
+    vp_pair,
 )
 from .groups import (
     FrickeGroup,
@@ -315,10 +316,10 @@ def verify_invariance(
 MINER_VERIFY_SAMPLES = 10 ** 4
 MINER_POOL_SIZE = 1000
 # Deepest orbit mine_invariants accepts: the orbit triples per level, and on
-# (1/15, 8) with primes 3, 5 depth 9 takes about 1.6 s and depth 10 about 3.7 s.
+# (1/15, 8) with primes 3, 5 depth 9 takes about 0.4 s and depth 10 about 1.2 s.
 MINER_MAX_DEPTH = 9
 # Most distinct primes mine_invariants accepts: the candidates grow with the
-# square of the atom count, and 6 primes at depth 9 take about 6.5 s.
+# square of the atom count, and the 6 primes 2 to 13 at depth 9 take about 1 s.
 MINER_MAX_PRIMES = 6
 _RES_ATOM_PRIME_CAP = 7   # residue subsets are enumerated only for p <= 7
 
@@ -401,38 +402,65 @@ def _probe_pool(primes: Sequence[int], seed: int) -> list[Fraction]:
     return pool
 
 
-def _membership_bits(
-    pred: Predicate,
+def _class_tables(
+    atoms: Sequence[Predicate],
     data: Sequence[tuple[int, int]],
     pool: Sequence[tuple[int, int]],
+) -> dict[int, list[tuple[tuple[int, int], int, int]]]:
+    """Per prime p of the atoms: (representative, data bitset, pool bitset)
+    for each class of values on which every atom at p is constant.
+
+    The key of n/d is v = v_p clamped to [-(M + 1), M + 1], v mod 2, and
+    n/d mod p^K if v >= 0, for M the largest |bound| of the ValAtoms at p
+    and K the largest k of its ResAtoms: a bound b compares v with b - 1, b
+    or b + 1. A class fills one bit string in place, linear in the values.
+    """
+    tables, zeros = {}, (b"0" * len(data), b"0" * len(pool))
+    for p in {atom.p for atom in atoms}:
+        at_p = [atom for atom in atoms if atom.p == p]
+        top = 1 + max((abs(a.bound) for a in at_p if isinstance(a, ValAtom)), default=0)
+        m = p ** max((a.k for a in at_p if isinstance(a, ResAtom)), default=0)
+        classes = {}
+        for side, xs in enumerate((data, pool), 1):
+            for j, (n, d) in enumerate(reversed(xs)):  # position j is bit len(xs) - 1 - j
+                v = vp_pair(n, d, p)
+                key = (max(-top, min(top, v)), v % 2, n * pow(d, -1, m) % m if v >= 0 else -1)
+                if key not in classes:
+                    classes[key] = ((n, d), *map(bytearray, zeros))
+                classes[key][side][j] = 49  # ord("1")
+        tables[p] = [(rep, int(db, 2), int(pb, 2)) for rep, db, pb in classes.values()]
+    return tables
+
+
+def _membership_bits(
+    pred: Predicate,
+    tables: dict[int, list[tuple[tuple[int, int], int, int]]],
+    full: tuple[int, int],
     leaves: dict[Predicate, tuple[int, int]],
 ) -> tuple[int, int]:
     """Which data values and which probes lie in the set, as two bitsets.
 
     Bit i is set when the i-th (num, den) pair lies in the set. An And is
-    the & of its parts and an Xor the ^ of its sides; any other predicate is
-    a leaf, evaluated on every value once and memoized in leaves. A
-    conjunction of two atoms then costs two integer operations instead of a
-    pass over the values.
+    the & of its parts (full has every bit set) and an Xor the ^ of its
+    sides; any other predicate is a one-prime leaf, memoized in leaves: the
+    sum (the union, as they are disjoint) of the class bitsets in tables
+    whose representative it accepts.
     """
     if isinstance(pred, And):
-        db, pb = (1 << len(data)) - 1, (1 << len(pool)) - 1
+        db, pb = full
         for part in pred.parts:
-            d, p = _membership_bits(part, data, pool, leaves)
+            d, p = _membership_bits(part, tables, full, leaves)
             db, pb = db & d, pb & p
         return db, pb
     if isinstance(pred, Xor):
-        dl, pl = _membership_bits(pred.left, data, pool, leaves)
-        dr, pr = _membership_bits(pred.right, data, pool, leaves)
+        dl, pl = _membership_bits(pred.left, tables, full, leaves)
+        dr, pr = _membership_bits(pred.right, tables, full, leaves)
         return dl ^ dr, pl ^ pr
     out = leaves.get(pred)
     if out is None:
         test = compile_predicate(pred)
-        # one bit string: linear in len(xs), where a sum of shifts is quadratic
-        out = leaves[pred] = tuple(
-            int("".join("1" if test(n, d) else "0" for n, d in reversed(xs)), 2)
-            for xs in (data, pool)
-        )
+        hits = [bits for rep, *bits in tables[pred.p] if test(*rep)]
+        out = leaves[pred] = (sum(db for db, _ in hits), sum(pb for _, pb in hits))
     return out
 
 
@@ -463,10 +491,11 @@ def mine_invariants(
         return []
     pool = [(x.numerator, x.denominator) for x in _probe_pool(primes, seed)]
     data_full, pool_full = (1 << len(data)) - 1, (1 << len(pool)) - 1
+    tables = _class_tables(_candidate_atoms(primes), data, pool)
     leaves: dict[Predicate, tuple[int, int]] = {}
     found: list[Predicate] = []
     for idx, cand in enumerate(candidate_predicates(primes)):
-        data_bits, pool_bits = _membership_bits(cand, data, pool, leaves)
+        data_bits, pool_bits = _membership_bits(cand, tables, (data_full, pool_full), leaves)
         if data_bits and data_bits != data_full:
             continue
         if pool_bits == pool_full or not pool_bits:

@@ -425,10 +425,14 @@ MODULUS_BOUND = (
      f"level 2^1000000000 {LEVEL_CAP}"),
     (["probe", "padic", "--y", "1/4", "--targets", "7:100000", "--depth", "6"],
      f"{MODULUS_BOUND}, got 300000"),
-], ids=["gamma-800", "gamma0-6400", "gamma-2^12", "gamma-2^1000000000", "padic-7^100000"])
+    (["scan", "congruence", "--flavor", "gamma", "--N", "256", "--depth", "10"],
+     "227849 records x period 128 = 29164672 translate steps must be at most 4000000"),
+], ids=["gamma-800", "gamma0-6400", "gamma-2^12", "gamma-2^1000000000", "padic-7^100000",
+        "gamma-256-depth-10"])
 def test_large_levels_and_precisions_exit_2_at_once(argv, error):
     # without the caps the gamma scan at level 800 ran for 19 s, the larger
-    # levels for longer, and the probe ended in a traceback after 9 s
+    # levels for longer, the probe ended in a traceback after 9 s, and the
+    # level-256 scan at depth 10 labelled for 21 s
     env = dict(os.environ, PYTHONPATH=_source_pythonpath())
     proc = subprocess.run(
         [sys.executable, "-m", "fricke.cli", *argv, "--u2", "6/11", "--twot", "6"],

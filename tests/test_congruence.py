@@ -8,6 +8,7 @@ from fricke.congruence import (
     GAMMA,
     GAMMA0,
     MISS_SCAN_MAX_LEVEL,
+    MISS_SCAN_MAX_STEPS,
     MissReport,
     enumerate_labels,
     gamma0_label,
@@ -19,6 +20,7 @@ from fricke.congruence import (
 )
 from fricke.errors import ParameterError
 from fricke.exactnum import INFINITY, point_of, reduce_point
+from fricke import congruence
 from fricke.groups import make_group
 from fricke.orbitsearch import cusp_bfs
 
@@ -262,6 +264,23 @@ def test_miss_scan_level_cap():
     for n, j in ((MISS_SCAN_MAX_LEVEL + 1, 1), (2, 9), (2, 10 ** 9), (10 ** 100, 1)):
         with pytest.raises(ParameterError, match=f"must be at most {MISS_SCAN_MAX_LEVEL}"):
             miss_scan(SQUARE, GAMMA, n, j, depth=2)
+
+
+def test_miss_scan_step_cap(monkeypatch):
+    # level 256 on (6/11, 6) has period 128: 70,883 records at depth 9 took
+    # 7 s to label, 227,849 at depth 10 took 21 s
+    assert MISS_SCAN_MAX_STEPS == 4_000_000
+    with pytest.raises(ParameterError, match="^70883 records x period 128 = 9073024 translate "
+                                             "steps must be at most 4000000$"):
+        miss_scan(FLAGSHIP, GAMMA, 256, 1, depth=9)
+    # the cap is on records x period: 2t = 11/2 at level 3 has period 6
+    g = make_group(Fraction(2, 3), Fraction(11, 2))
+    steps = len(cusp_bfs(g, 4).nums) * 6
+    monkeypatch.setattr(congruence, "MISS_SCAN_MAX_STEPS", steps)
+    assert miss_scan(g, GAMMA, 3, 1, depth=4).level == 3
+    monkeypatch.setattr(congruence, "MISS_SCAN_MAX_STEPS", steps - 1)
+    with pytest.raises(ParameterError, match=f"= {steps} translate steps"):
+        miss_scan(g, GAMMA, 3, 1, depth=4)
 
 
 def test_miss_scan_fractional_translation_period():

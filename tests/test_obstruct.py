@@ -27,7 +27,9 @@ from fricke.obstruct import (
 from fricke import obstruct
 from fricke.predicates import (
     And,
+    ResAtom,
     ValAtom,
+    Xor,
     compile_predicate,
     exactly_one_negative,
     neg_valuation,
@@ -369,6 +371,71 @@ def _mine_oracle(g, seeds, primes, depth, seed):
         if result.passed:
             found.append(cand)
     return found
+
+
+def _leaves(pred):
+    if isinstance(pred, And):
+        for part in pred.parts:
+            yield from _leaves(part)
+    elif isinstance(pred, Xor):
+        yield from _leaves(pred.left)
+        yield from _leaves(pred.right)
+    else:
+        yield pred
+
+
+def _valuation_grid(primes, vmax, k, seed):
+    """Reduced pairs x = +-p^v * u / w for every p, every v in [-vmax, vmax]
+    and every unit residue u mod p^k, with a random unit w at p that may
+    carry the other primes, plus random products of all the primes."""
+    rng = random.Random(seed)
+    out = []
+    for p in primes:
+        for v in range(-vmax, vmax + 1):
+            for u in range(1, p ** k):
+                if u % p:
+                    w = rng.choice([q for q in primes if q != p] + [1]) ** rng.randint(0, 3)
+                    w *= rng.choice([1, 13, 17, 19]) ** rng.randint(0, 1)
+                    x = Fraction(p) ** v * (u + p ** k * rng.randrange(3)) / w
+                    out.append(x * rng.choice((1, -1)))
+    for _ in range(300):
+        x = Fraction(rng.choice((1, -1)) * rng.randrange(1, 50), rng.randrange(1, 50))
+        for p in primes:
+            x *= Fraction(p) ** rng.randint(-vmax, vmax)
+        out.append(x)
+    return [(x.numerator, x.denominator) for x in out]
+
+
+def _assert_class_tables_match(atoms, leaves, values):
+    data, pool = values[::2], values[1::2]
+    tables = obstruct._class_tables(atoms, data, pool)
+    full = ((1 << len(data)) - 1, (1 << len(pool)) - 1)
+    for leaf in leaves:
+        test = compile_predicate(leaf)
+        expected = tuple(
+            sum(1 << i for i, (n, d) in enumerate(xs) if test(n, d)) for xs in (data, pool)
+        )
+        assert obstruct._membership_bits(leaf, tables, full, {}) == expected, str(leaf)
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (3, 5), (2, 3, 11), (2, 3, 5, 7)])
+def test_class_tables_agree_with_per_value_evaluation(primes):
+    # valuations 3, 4 and 5 past the largest bound 2, of both parities and signs
+    leaves = {leaf for cand in candidate_predicates(primes) for leaf in _leaves(cand)}
+    values = _valuation_grid(primes, vmax=5, k=2, seed=sum(primes))
+    _assert_class_tables_match(obstruct._candidate_atoms(primes), leaves, values)
+
+
+def test_class_tables_read_bound_and_precision_from_the_atoms():
+    # bounds up to 5 and residues mod p^3; 7 has a residue atom only
+    atoms = [
+        ValAtom(2, ">=", 5), ValAtom(2, "even"), ResAtom(2, 3, frozenset({3, 5})),
+        ValAtom(3, "<=", 4), ValAtom(3, ">", -4), ResAtom(3, 2, frozenset({1, 4, 7})),
+        ValAtom(5, "=", -3), ValAtom(5, "odd"), ResAtom(5, 3, frozenset({0, 6, 124})),
+        ResAtom(7, 1, frozenset({3})),
+    ]
+    values = _valuation_grid((2, 3, 5, 7), vmax=7, k=3, seed=5)
+    _assert_class_tables_match(atoms, atoms, values)
 
 
 MINER_GROUPS = [

@@ -21,16 +21,19 @@ from fricke.groups import (
     FrickeGroup,
     apply,
     classify_element,
+    fixed_points,
     make_group,
     mat_mul,
     word_matrix,
 )
+from fricke import orbitsearch
 from fricke.orbitsearch import (
     DEFAULT_NODE_BUDGET,
     PADIC_MAX_MODULUS_BITS,
     SPECIAL_SCAN_MAX_LEN,
     CuspRecord,
     CuspTestResult,
+    _LETTER_RANK,
     _letter_step,
     _word_key,
     adelic_probe,
@@ -463,6 +466,65 @@ def test_special_scan_agrees_with_matrix_oracle(u2, two_t):
     g = make_group(u2, two_t)
     for max_len in range(1, 10):
         assert special_point_scan(g, max_len) == _special_scan_oracle(g, max_len)
+
+
+def _parent_special_scan(g, max_len, multiply):
+    """The scan as it was before a node decided its children by trace: every
+    child is multiplied out, content-reduced and tested when it is entered.
+    multiply(g, w) evaluates the rotations that pass."""
+    letters = [(ch, *g.letter_matrix(ch)) for ch in LETTERS]
+    best = {}
+
+    def record(pt, word):
+        if not pt.is_infinity:
+            old = best.get(pt)
+            if old is None or _word_key(word) < _word_key(old):
+                best[pt] = word
+
+    def rec(word, p, a, b, c, d):
+        if a * d - b * c <= 0:
+            raise InternalCheckError(f"word {word} has non-positive determinant")
+        t = len(word)
+        if t % p == 0 and word[0] != INVERSE[word[-1]]:  # cyclically reduced necklace
+            disc = (a - d) ** 2 + 4 * b * c
+            if disc > 0 and isqrt(disc) ** 2 == disc:
+                for w in (word[i:] + word[:i] for i in range(p)):
+                    for pt in fixed_points(multiply(g, w)).points:
+                        record(pt, w)
+        if t < max_len:
+            r = word[t - p]
+            for ch, la, lb, lc, ld in letters[_LETTER_RANK[r]:]:
+                if ch != INVERSE[word[-1]]:
+                    a2, b2 = a * la + b * lc, a * lb + b * ld
+                    c2, d2 = c * la + d * lc, c * lb + d * ld
+                    k = gcd(a2, b2, c2, d2)
+                    if k > 1:
+                        a2, b2, c2, d2 = a2 // k, b2 // k, c2 // k, d2 // k
+                    rec(word + ch, p if ch == r else t + 1, a2, b2, c2, d2)
+
+    for ch, *m in letters:
+        rec(ch, 1, *m)
+    return sorted(best.items(), key=lambda item: (_word_key(item[1]), item[0]))
+
+
+@pytest.mark.parametrize("u2, two_t, max_len", [
+    (Fraction(2, 3), Fraction(11, 2), 12), (Fraction(1, 4), 4, 7), (Fraction(6, 11), 6, 2),
+])
+def test_special_scan_matches_the_recursive_scan(monkeypatch, u2, two_t, max_len):
+    # same points and witnesses, and the same words multiplied out in the
+    # same order: the trace test passes exactly the necklaces that the
+    # recursion passed, each once, with its own period
+    g = make_group(u2, two_t)
+    expected_words, words = [], []
+
+    def logged(log):
+        return lambda g, w: log.append(w) or word_matrix(g, w)
+
+    expected = _parent_special_scan(g, max_len, logged(expected_words))
+    monkeypatch.setattr(orbitsearch, "word_matrix", logged(words))
+    assert special_point_scan(g, max_len) == expected
+    assert words == expected_words
+    assert len(set(words)) == len(words)
 
 
 def _small_groups():
