@@ -3,11 +3,12 @@
 gamma labels classify points up to the level-N principal congruence
 subgroup: the pair (a mod N, c mod N) up to global sign. gamma0 labels
 classify up to the subgroup of matrices with upper-right entry divisible
-by N: the orbit of the reduced point in P1(Z/N) under the lower-triangular
-determinant-one action, computed by explicit enumeration and memoized per
-level. miss_scan reports which labels a group's cusp set reaches: it labels
-every enumerated cusp c and its translates c + k*2t over one exact period
-of k, q*L/gcd(L, p) for 2t = p/q at level L, as integer pairs.
+by N: the orbit of (a : c) in P1(Z/N) under the lower-triangular
+determinant-one action, read off in closed form from g = gcd(a, N) and the
+square class of c*(a/g)^-1 mod gcd(g, N/g). miss_scan reports which labels
+a group's cusp set reaches: it labels every enumerated cusp c and its
+translates c + k*2t over one exact period of k, q*L/gcd(L, p) for 2t = p/q
+at level L, as integer pairs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ GAMMA0 = "gamma0"
 
 # Largest level n**j that miss_scan accepts. On a 2-core machine at depth 8,
 # gamma takes 3.0 s at level 256 on (6/11, 6), 9.7 s at 500 and 19 s at 800
-# (enumerate_labels is quadratic in the level); gamma0 takes 24 s at 6400 on
-# (1/4, 4).
+# (enumerate_labels is quadratic in the level); gamma0 takes 0.6 s at 6400 on
+# (1/4, 4) with the level and step caps lifted.
 MISS_SCAN_MAX_LEVEL = 256
 # Most translate steps, BFS records x period, that miss_scan labels. Gamma at
 # level 256 on (6/11, 6), period 128, takes 1.9 s at depth 8 (2.8M steps),
@@ -98,7 +99,7 @@ def _divisors(n: int) -> list[int]:
 class OrbitLabel(NamedTuple):
     """Canonical orbit key: for gamma, the pair +-(a, c) mod level taken
     lexicographically least; for gamma0, the least P1(Z/level) point of the
-    enumerated lower-triangular orbit."""
+    lower-triangular orbit."""
 
     flavor: str
     level: int
@@ -107,8 +108,7 @@ class OrbitLabel(NamedTuple):
     def __str__(self) -> str:
         if self.flavor == GAMMA:
             return f"({self.key[0]},{self.key[1]}) mod {self.level}"
-        idx = _gamma0_orbit_index(self.level)[self.key]
-        return f"orbit#{idx} mod {self.level}"
+        return f"orbit#{_gamma0_index(self.level)[self.key]} mod {self.level}"
 
 
 def _require_level(n: int) -> None:
@@ -118,50 +118,41 @@ def _require_level(n: int) -> None:
 
 def gamma_label(x: ProjPoint, n: int) -> OrbitLabel:
     """Orbit label under the level-n principal congruence subgroup."""
-    _require_level(n)
     return label_of_pair(GAMMA, x.a, x.c, n)
 
 
-@cache
-def _gamma0_orbits(n: int) -> tuple[dict, list]:
-    """Orbits of P1(Z/n) under lower-triangular determinant-one matrices,
-    as (point -> orbit min, sorted orbit mins).
+def _gamma0_key(a: int, c: int, n: int) -> tuple[int, int]:
+    """Least P1(Z/n) point of the orbit of the primitive (a : c) under the
+    matrices [[u, 0], [x, 1/u]] mod n.
 
-    The group is generated by the unipotent [[1,0],[1,1]] and the diagonals
-    diag(u, 1/u); on projective points the diagonal part acts as scaling of
-    the first coordinate by squares of units.
+    Let g = gcd(a, n) and h = gcd(g, n/g). Scaling by a unit congruent to
+    (a/g)^-1 mod n/g gives (g : e) with e = c*(a/g)^-1, so e mod h is well
+    defined. The matrix takes (g : e) to (ug : xg + e/u), and rescaling by mu
+    with mu*u = 1 mod n/g gives (g : mu*x*g + mu^2 * (mu*u)^-1 * e): as h | g,
+    the square class of e mod h is kept. Since x, mu and the scalings
+    t = 1 mod n/g are free, the orbit is every (g : e') with gcd(e', g) = 1
+    and e' = e*s^2 mod h for a unit s, by CRT through lcm(g, n/g). Its least
+    point is (g mod n, least such e' in [0, n)); g = n gives (0, 1).
     """
-    points = p1_points(n)
-    squares = sorted({u * u % n for u in range(1, n) if gcd(u, n) == 1})
-    to_min: dict[tuple[int, int], tuple[int, int]] = {}
-    for start in points:
-        if start in to_min:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            a, c = stack.pop()
-            nbrs = [p1_reduce(a, (a + c) % n, n)]
-            nbrs.extend(p1_reduce(s * a % n, c, n) for s in squares)
-            for nb in nbrs:
-                if nb not in orbit:
-                    orbit.add(nb)
-                    stack.append(nb)
-        least = min(orbit)
-        for pt in orbit:
-            to_min[pt] = least
-    return to_min, sorted(set(to_min.values()))
+    a, c = a % n, c % n
+    if gcd(a, c, n) != 1:
+        raise ParameterError(f"({a} : {c}) is not primitive mod {n}")
+    g = gcd(a, n)
+    h = gcd(g, n // g)
+    r = c * pow(a // g, -1, h)
+    square_class = {r * s * s % h for s in range(h) if gcd(s, h) == 1}
+    return (g % n, next(e for e in range(n) if e % h in square_class and gcd(e, g) == 1))
 
 
 @cache
-def _gamma0_orbit_index(n: int) -> dict[tuple[int, int], int]:
-    _, mins = _gamma0_orbits(n)
-    return {key: i for i, key in enumerate(mins)}
+def _gamma0_index(n: int) -> dict[tuple[int, int], int]:
+    """The sorted gamma0 keys at level n, each mapped to its orbit# index."""
+    keys = {_gamma0_key(g, e, n) for g in _divisors(n) for e in range(n) if gcd(g, e, n) == 1}
+    return {key: i for i, key in enumerate(sorted(keys))}
 
 
 def gamma0_label(x: ProjPoint, n: int) -> OrbitLabel:
     """Orbit label under matrices with upper-right entry divisible by n."""
-    _require_level(n)
     return label_of_pair(GAMMA0, x.a, x.c, n)
 
 
@@ -176,19 +167,18 @@ def enumerate_labels(flavor: str, n: int) -> list[OrbitLabel]:
             if gcd(gcd(a, c), n) == 1
         })
     if flavor == GAMMA0:
-        _, mins = _gamma0_orbits(n)
-        return [OrbitLabel(GAMMA0, n, k) for k in mins]
+        return [OrbitLabel(GAMMA0, n, k) for k in _gamma0_index(n)]
     raise ParameterError(f"unknown flavor {flavor!r}; use 'gamma' or 'gamma0'")
 
 
 def label_of_pair(flavor: str, num: int, den: int, n: int) -> OrbitLabel:
     """Label of the point (num : den) of P1(Q) in lowest terms at level n."""
+    _require_level(n)
     if flavor == GAMMA:
         pair = (num % n, den % n)
         neg = ((-num) % n, (-den) % n)
         return OrbitLabel(GAMMA, n, min(pair, neg))
-    to_min, _ = _gamma0_orbits(n)
-    return OrbitLabel(GAMMA0, n, to_min[p1_reduce(num, den, n)])
+    return OrbitLabel(GAMMA0, n, _gamma0_key(num, den, n))
 
 
 # ---------------------------------------------------------------------------

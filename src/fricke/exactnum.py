@@ -328,3 +328,42 @@ def parse_point(text: str) -> ProjPoint:
     if text == "inf":
         return INFINITY
     return point_of(parse_rational(text))
+
+
+# ---------------------------------------------------------------------------
+# read-only value classes
+# ---------------------------------------------------------------------------
+
+class ReadOnly:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in __slots__ and is built from their values
+    in that order. Equality and hash compare the type and _key(), which is
+    every field unless a subclass drops trailing ones; repr shows _key().
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
+
+    __delattr__ = __setattr__

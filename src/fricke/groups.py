@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError, InvalidGroupError, ParameterError
-from .exactnum import ProjPoint, Rational, format_rational, prime_factors, reduce_point
+from .exactnum import ProjPoint, Rational, ReadOnly, format_rational, prime_factors, reduce_point
 from .words import Word, parse_word
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ COMMUTATOR_WORD: Word = "ABab"
 LAMBDA_WORDS: tuple[Word, ...] = ("AA", "BB", "BAba", "ABAb", "ABBa")
 
 
-class FrickeGroup:
+class FrickeGroup(ReadOnly):
     """Group of the family indexed by (u2, 2t), with cached generator data.
 
     Read-only. Equality and hash cover every field but letters, which gen1
@@ -175,28 +175,8 @@ class FrickeGroup:
 
     __slots__ = ("u2", "t", "two_t", "gen1", "gen2", "support_primes", "letters")
 
-    def __init__(self, u2: Fraction, t: Fraction, two_t: Fraction, gen1: ProjMatrix,
-                 gen2: ProjMatrix, support_primes: frozenset[int], letters: dict[str, ProjMatrix]):
-        for name, value in zip(self.__slots__, (u2, t, two_t, gen1, gen2, support_primes, letters)):
-            object.__setattr__(self, name, value)
-
     def _key(self) -> tuple:
         return (self.u2, self.t, self.two_t, self.gen1, self.gen2, self.support_primes)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is FrickeGroup and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
-        return f"FrickeGroup({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"FrickeGroup is read-only: cannot assign {name!r}")
-
-    __delattr__ = __setattr__
 
     @property
     def name(self) -> str:

@@ -179,6 +179,8 @@ def cusp_test(
     """
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
+    if budget < 1:
+        raise ParameterError(f"budget must be >= 1, got {budget}")
     if x.is_infinity:
         return CuspTestResult("cusp", witness="", depth=0)
 

@@ -20,45 +20,20 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, ParameterError
-from .exactnum import require_prime, vp, vp_pair
+from .exactnum import ReadOnly, require_prime, vp, vp_pair
 
 _RELATIONS = ("<=", "<", "=", ">=", ">", "odd", "even")
 
 
-class Predicate:
+class Predicate(ReadOnly):
     """Base class of the immutable predicate nodes.
 
-    A subclass lists its fields in __slots__, is built from their values in
-    that order, and implements evaluate(x) on nonzero rationals. Two nodes
-    are equal when they have the same type and equal fields, so and(P, Q)
+    A subclass lists its fields in __slots__ and implements evaluate(x) on
+    nonzero rationals. Nodes are equal by type and fields, so and(P, Q)
     differs from or(P, Q).
     """
 
     __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
-
-    __delattr__ = __setattr__
 
     def evaluate(self, x: Fraction) -> bool:
         raise NotImplementedError
@@ -71,6 +46,8 @@ class ValAtom(Predicate):
         require_prime(p)
         if rel not in _RELATIONS:
             raise ParameterError(f"unknown valuation relation {rel!r}")
+        if rel in ("odd", "even") and bound != 0:
+            raise ParameterError(f"{rel}(v{p}) takes no bound, got {bound}")
         super().__init__(p, rel, bound)
 
     def evaluate(self, x: Fraction) -> bool:
@@ -109,6 +86,8 @@ class ResAtom(Predicate):
         require_prime(p)
         if k < 1:
             raise ParameterError(f"residue precision must be >= 1, got {k}")
+        if not allowed:
+            raise ParameterError(f"residue set mod {p}^{k} must not be empty")
         m = p ** k
         if not all(0 <= r < m for r in allowed):
             raise ParameterError(f"residues must lie in [0, {m})")
@@ -227,8 +206,6 @@ def parse_predicate(text: str) -> Predicate:
     m = _RES_RE.match(s)
     if m:
         residues = frozenset(int(r) for r in m.group(3).split(",") if r != "")
-        if not residues:
-            raise ParameterError(f"empty residue set in {text!r}")
         return ResAtom(int(m.group(1)), int(m.group(2)), residues)
     raise ParameterError(f"cannot parse predicate {text!r}")
 

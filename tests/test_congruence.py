@@ -10,6 +10,7 @@ from fricke.congruence import (
     MISS_SCAN_MAX_LEVEL,
     MISS_SCAN_MAX_STEPS,
     MissReport,
+    OrbitLabel,
     enumerate_labels,
     gamma0_label,
     gamma_label,
@@ -19,7 +20,7 @@ from fricke.congruence import (
     p1_reduce,
 )
 from fricke.errors import ParameterError
-from fricke.exactnum import INFINITY, point_of, reduce_point
+from fricke.exactnum import INFINITY, ProjPoint, point_of, reduce_point
 from fricke import congruence
 from fricke.groups import make_group
 from fricke.orbitsearch import cusp_bfs
@@ -151,6 +152,56 @@ def test_gamma0_valuation_cases_match_enumeration():
         assert gamma0_label(point_of(Fraction(1, p)), p) == at_inf
 
 
+def _gamma0_orbits(n):
+    """Oracle: the orbits of P1(Z/n) under lower-triangular determinant-one
+    matrices, found by a graph search, as (point -> orbit min, sorted orbit
+    mins). The group is generated by the unipotent [[1,0],[1,1]] and the
+    diagonals diag(u, 1/u), which scale the first coordinate by squares."""
+    points = p1_points(n)
+    squares = sorted({u * u % n for u in range(1, n) if gcd(u, n) == 1})
+    to_min = {}
+    for start in points:
+        if start in to_min:
+            continue
+        orbit = {start}
+        stack = [start]
+        while stack:
+            a, c = stack.pop()
+            nbrs = [p1_reduce(a, (a + c) % n, n)]
+            nbrs.extend(p1_reduce(s * a % n, c, n) for s in squares)
+            for nb in nbrs:
+                if nb not in orbit:
+                    orbit.add(nb)
+                    stack.append(nb)
+        least = min(orbit)
+        for pt in orbit:
+            to_min[pt] = least
+    return to_min, sorted(set(to_min.values()))
+
+
+# 9 and 25 are the least levels where the (a/g)^-1 factor and the unit
+# squares mod h change a key
+@pytest.mark.parametrize("n", [*range(2, 65), 81, 128, 243, 256])
+def test_gamma0_closed_form_matches_orbit_search(n):
+    to_min, mins = _gamma0_orbits(n)
+    for a in range(n):
+        for c in range(n):
+            if gcd(a, c, n) == 1:
+                assert label_of_pair(GAMMA0, a, c, n).key == to_min[p1_reduce(a, c, n)], (a, c)
+    # str() depends only on the level and the key
+    labels = enumerate_labels(GAMMA0, n)
+    assert labels == [OrbitLabel(GAMMA0, n, key) for key in mins]
+    assert [str(lbl) for lbl in labels] == [f"orbit#{i} mod {n}" for i in range(len(mins))]
+    # gamma0_label reduces the point mod n
+    assert gamma0_label(ProjPoint(n + 1, 2 * n), n) == OrbitLabel(GAMMA0, n, (1, 0))
+    assert gamma0_label(ProjPoint(n, 1 - n), n) == OrbitLabel(GAMMA0, n, (0, 1))
+
+
+def test_gamma0_label_rejects_imprimitive_pairs():
+    with pytest.raises(ParameterError, match=r"^\(2 : 4\) is not primitive mod 8$"):
+        label_of_pair(GAMMA0, 10, -4, 8)
+
+
 def test_label_refinement_to_divisor_levels():
     rng = random.Random(23)
     for _ in range(300):
@@ -168,6 +219,9 @@ def test_label_level_validation():
         gamma_label(point_of(1), 1)
     with pytest.raises(ParameterError):
         gamma0_label(point_of(1), 0)
+    for flavor in (GAMMA, GAMMA0):
+        with pytest.raises(ParameterError, match="level must be >= 2, got 1"):
+            label_of_pair(flavor, 1, 1, 1)
 
 
 # ---------------------------------------------------------------- enumeration

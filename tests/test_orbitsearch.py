@@ -403,6 +403,17 @@ def test_cusp_test_finds_translated_poles_at_depth_one(x):
     assert apply(word_matrix(FLAGSHIP, res.witness), INFINITY) == point_of(x)
 
 
+
+def test_cusp_test_rejects_a_budget_below_one():
+    # a budget of 0 used to return kind 'unknown' without searching
+    for budget in (0, -3):
+        with pytest.raises(ParameterError, match=f"^budget must be >= 1, got {budget}$"):
+            cusp_test(FLAGSHIP, point_of(Fraction(5, 2)), 5, budget=budget)
+        with pytest.raises(ParameterError):
+            cusp_test(FLAGSHIP, INFINITY, 5, budget=budget)
+    assert cusp_test(FLAGSHIP, point_of(5), 1, budget=1).kind == "cusp"
+
+
 # ---------------------------------------------------------------- special scan
 
 def test_special_scan_flagship_finds_quarter():

@@ -156,3 +156,10 @@ def test_invalid_atoms():
         ResAtom(3, 0, frozenset({0}))
     with pytest.raises(ParameterError):
         ResAtom(3, 1, frozenset({5}))
+    # odd(v3) takes no bound: with one, str() and parse_predicate disagree
+    for rel, bound in (("odd", 5), ("even", -1)):
+        with pytest.raises(ParameterError, match="takes no bound"):
+            ValAtom(3, rel, bound)
+    # res(3,1,{}) would print a set that parse_predicate rejects
+    with pytest.raises(ParameterError, match="must not be empty"):
+        ResAtom(3, 1, frozenset())
