@@ -207,7 +207,7 @@ def _cmd_special(args, g, config):
 def _cmd_mine(args, g, config):
     seeds = [parse_point(s) for s in args.seeds.split(",")]
     primes = _parse_ints(args.primes)
-    mined = mine_invariants(g, seeds, primes, args.depth, seed=args.seed)
+    mined = mine_invariants(g, seeds, primes)
     config.update(seeds=[str(s) for s in seeds], primes=primes, depth=args.depth)
     payload = {"count": len(mined), "predicates": [str(p) for p in mined]}
     lines = [f"mined invariant sets: {len(mined)}"]
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm = scan_sub.add_parser("mine")
     _add_group_args(sm)
     sm.add_argument("--primes", required=True, help="comma-separated primes")
-    sm.add_argument("--depth", type=int, default=5)
+    sm.add_argument("--depth", type=int, default=5, help="echoed into the report, like --seed")
     sm.add_argument("--seeds", default="inf,0", help="comma-separated seed points")
     _add_common_args(sm)
     sm.set_defaults(handler=_cmd_mine, mode="mine")

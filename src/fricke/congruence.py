@@ -108,6 +108,8 @@ class OrbitLabel(NamedTuple):
     def __str__(self) -> str:
         if self.flavor == GAMMA:
             return f"({self.key[0]},{self.key[1]}) mod {self.level}"
+        if self.key not in _gamma0_index(self.level):
+            raise ParameterError(f"{self.key} is not the key of a gamma0 orbit mod {self.level}")
         return f"orbit#{_gamma0_index(self.level)[self.key]} mod {self.level}"
 
 
@@ -178,7 +180,9 @@ def label_of_pair(flavor: str, num: int, den: int, n: int) -> OrbitLabel:
         pair = (num % n, den % n)
         neg = ((-num) % n, (-den) % n)
         return OrbitLabel(GAMMA, n, min(pair, neg))
-    return OrbitLabel(GAMMA0, n, _gamma0_key(num, den, n))
+    if flavor == GAMMA0:
+        return OrbitLabel(GAMMA0, n, _gamma0_key(num, den, n))
+    raise ParameterError(f"unknown flavor {flavor!r}; use 'gamma' or 'gamma0'")
 
 
 # ---------------------------------------------------------------------------

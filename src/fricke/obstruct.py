@@ -3,8 +3,9 @@
 The checks certify that the finite cusp set of a group avoids some open
 region of a p-adic field or a product of two of them, and therefore cannot
 be all of Q. Each returned Witness carries enough data to be rechecked from
-scratch. The empirical tools (verify_invariance, mine_invariants) produce
-evidence, never proof; a Pass means no counterexample was found.
+scratch. verify_invariance samples, so its pass is evidence, not proof;
+mine_invariants keeps only the sets that invariance.decide_set proves
+invariant, nonempty and proper, so each set it returns holds no cusp.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyPredicateError, ParameterError
 from .exactnum import (
@@ -24,7 +25,6 @@ from .exactnum import (
     require_prime,
     residue_mod_pk,
     vp,
-    vp_pair,
 )
 from .groups import (
     FrickeGroup,
@@ -40,7 +40,6 @@ from .predicates import (
     Predicate,
     ResAtom,
     ValAtom,
-    Xor,
     compile_predicate,
     exactly_one_negative,
 )
@@ -91,7 +90,10 @@ def recheck_witness(g: FrickeGroup, w: Witness) -> bool:
     if w.kind == SQUARE_OBSTRUCTION:
         return check_square_obstruction(g, w.primes[0]) is not None
     if w.kind == TWO_PRIME_OBSTRUCTION:
-        return check_two_prime_obstruction(g, *w.primes) is not None
+        from .invariance import decide_set  # loaded only where a set is decided
+
+        pred = exactly_one_negative(*w.primes) if w.predicate is None else w.predicate
+        return check_two_prime_obstruction(g, *w.primes) is not None and all(decide_set(pred, g))
     if w.kind == INTEGER_T_VIOLATION:
         report = check_integer_t_conditions(g)
         return report.applicable and any(v.clause == w.clause for v in report.witnesses)
@@ -313,13 +315,9 @@ def verify_invariance(
 # invariant mining
 # ---------------------------------------------------------------------------
 
-MINER_VERIFY_SAMPLES = 10 ** 4
-MINER_POOL_SIZE = 1000
-# Deepest orbit mine_invariants accepts: the orbit triples per level, and on
-# (1/15, 8) with primes 3, 5 depth 9 takes about 0.4 s and depth 10 about 1.2 s.
-MINER_MAX_DEPTH = 9
 # Most distinct primes mine_invariants accepts: the candidates grow with the
-# square of the atom count, and the 6 primes 2 to 13 at depth 9 take about 1 s.
+# square of the atom count, and on (1/15, 8) the 6 primes 2 to 13 take
+# 0.3-0.6 s (best of 3 in one process, 2-core machine shared with other jobs).
 MINER_MAX_PRIMES = 6
 _RES_ATOM_PRIME_CAP = 7   # residue subsets are enumerated only for p <= 7
 
@@ -366,148 +364,30 @@ def candidate_predicates(primes: Sequence[int]) -> list[Predicate]:
     return out
 
 
-def _orbit_values(
-    g: FrickeGroup, seeds: Iterable[ProjPoint], depth: int
-) -> list[tuple[int, int]]:
-    """Finite nonzero values in the orbit of the seeds under words up to
-    depth, as reduced (num, den) pairs in discovery order."""
-    seen: dict[ProjPoint, None] = dict.fromkeys(seeds)
-    frontier = list(seen)
-    for _ in range(depth):
-        nxt = []
-        for pt in frontier:
-            for ch in "AaBb":
-                img = apply(g.letter_matrix(ch), pt)
-                if img not in seen:
-                    seen[img] = None
-                    nxt.append(img)
-        frontier = nxt
-    return [(pt.a, pt.c) for pt in seen if pt.c and pt.a]
-
-
-def _probe_pool(primes: Sequence[int], seed: int) -> list[Fraction]:
-    """Properness/nonemptiness probes: seeded samples plus a p-power grid."""
-    rng = random.Random(seed)
-    pool = []
-    for p in primes:
-        for e in range(1, 4):
-            pool.extend([Fraction(p ** e), Fraction(-(p ** e)),
-                         Fraction(1, p ** e), Fraction(-1, p ** e)])
-    pool.extend([Fraction(1), Fraction(-1)])
-    while len(pool) < MINER_POOL_SIZE:
-        n = rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
-        d = rng.randint(1, SAMPLE_BOUND)
-        if n != 0:
-            pool.append(Fraction(n, d))
-    return pool
-
-
-def _class_tables(
-    atoms: Sequence[Predicate],
-    data: Sequence[tuple[int, int]],
-    pool: Sequence[tuple[int, int]],
-) -> dict[int, list[tuple[tuple[int, int], int, int]]]:
-    """Per prime p of the atoms: (representative, data bitset, pool bitset)
-    for each class of values on which every atom at p is constant.
-
-    The key of n/d is v = v_p clamped to [-(M + 1), M + 1], v mod 2, and
-    n/d mod p^K if v >= 0, for M the largest |bound| of the ValAtoms at p
-    and K the largest k of its ResAtoms: a bound b compares v with b - 1, b
-    or b + 1. A class fills one bit string in place, linear in the values.
-    """
-    tables, zeros = {}, (b"0" * len(data), b"0" * len(pool))
-    for p in {atom.p for atom in atoms}:
-        at_p = [atom for atom in atoms if atom.p == p]
-        top = 1 + max((abs(a.bound) for a in at_p if isinstance(a, ValAtom)), default=0)
-        m = p ** max((a.k for a in at_p if isinstance(a, ResAtom)), default=0)
-        classes = {}
-        for side, xs in enumerate((data, pool), 1):
-            for j, (n, d) in enumerate(reversed(xs)):  # position j is bit len(xs) - 1 - j
-                v = vp_pair(n, d, p)
-                key = (max(-top, min(top, v)), v % 2, n * pow(d, -1, m) % m if v >= 0 else -1)
-                if key not in classes:
-                    classes[key] = ((n, d), *map(bytearray, zeros))
-                classes[key][side][j] = 49  # ord("1")
-        tables[p] = [(rep, int(db, 2), int(pb, 2)) for rep, db, pb in classes.values()]
-    return tables
-
-
-def _membership_bits(
-    pred: Predicate,
-    tables: dict[int, list[tuple[tuple[int, int], int, int]]],
-    full: tuple[int, int],
-    leaves: dict[Predicate, tuple[int, int]],
-) -> tuple[int, int]:
-    """Which data values and which probes lie in the set, as two bitsets.
-
-    Bit i is set when the i-th (num, den) pair lies in the set. An And is
-    the & of its parts (full has every bit set) and an Xor the ^ of its
-    sides; any other predicate is a one-prime leaf, memoized in leaves: the
-    sum (the union, as they are disjoint) of the class bitsets in tables
-    whose representative it accepts.
-    """
-    if isinstance(pred, And):
-        db, pb = full
-        for part in pred.parts:
-            d, p = _membership_bits(part, tables, full, leaves)
-            db, pb = db & d, pb & p
-        return db, pb
-    if isinstance(pred, Xor):
-        dl, pl = _membership_bits(pred.left, tables, full, leaves)
-        dr, pr = _membership_bits(pred.right, tables, full, leaves)
-        return dl ^ dr, pl ^ pr
-    out = leaves.get(pred)
-    if out is None:
-        test = compile_predicate(pred)
-        hits = [bits for rep, *bits in tables[pred.p] if test(*rep)]
-        out = leaves[pred] = (sum(db for db, _ in hits), sum(pb for _, pb in hits))
-    return out
-
-
 def mine_invariants(
-    g: FrickeGroup,
-    seeds: Sequence[ProjPoint],
-    primes: Sequence[int],
-    depth: int,
-    seed: int = 0,
+    g: FrickeGroup, seeds: Sequence[ProjPoint], primes: Sequence[int]
 ) -> list[Predicate]:
-    """Search the fixed hypothesis space for invariant sets consistent with
-    the orbit of the seed points.
+    """The candidates whose sets the letters provably map into themselves,
+    exactly nonempty and proper, with the seeds all inside or all outside
+    (0 and infinity count as outside), in the order of the hypothesis space.
 
-    A candidate set survives if the orbit data lies entirely inside it or
-    entirely outside it (seeds that are cusps can only witness the outside),
-    if it excludes at least one probe rational and contains at least one,
-    and if seeded invariance verification finds no counterexample.
+    An invariant set is a union of orbits that avoids 0 and infinity, so a
+    seed's orbit lies in it iff the seed does: no orbit needs walking.
     """
-    if not 1 <= depth <= MINER_MAX_DEPTH:
-        raise ParameterError(f"depth must be in 1..{MINER_MAX_DEPTH}, got {depth}")
+    from .invariance import SetDecider
+
     if not primes:
         raise ParameterError("at least one prime is required")
     primes = sorted(set(primes))
     if len(primes) > MINER_MAX_PRIMES:
         raise ParameterError(f"at most {MINER_MAX_PRIMES} distinct primes, got {len(primes)}")
-    data = _orbit_values(g, seeds, depth)
-    if not data:
-        return []
-    pool = [(x.numerator, x.denominator) for x in _probe_pool(primes, seed)]
-    data_full, pool_full = (1 << len(data)) - 1, (1 << len(pool)) - 1
-    tables = _class_tables(_candidate_atoms(primes), data, pool)
-    leaves: dict[Predicate, tuple[int, int]] = {}
+    decider = SetDecider(g, _candidate_atoms(primes))
     found: list[Predicate] = []
-    for idx, cand in enumerate(candidate_predicates(primes)):
-        data_bits, pool_bits = _membership_bits(cand, tables, (data_full, pool_full), leaves)
-        if data_bits and data_bits != data_full:
-            continue
-        if pool_bits == pool_full or not pool_bits:
-            continue  # not both proper and visibly nonempty
-        try:
-            result = verify_invariance(
-                cand, g, MINER_VERIFY_SAMPLES, seed=seed * 7919 + idx
-            )
-        except EmptyPredicateError:
-            continue
-        if result.passed:
-            found.append(cand)
+    for cand in candidate_predicates(primes):
+        if all(decider.decide(cand)):
+            test = compile_predicate(cand)
+            if len({bool(pt.a and pt.c and test(pt.a, pt.c)) for pt in seeds}) < 2:
+                found.append(cand)
     return found
 
 

@@ -11,7 +11,7 @@ import pytest
 import fricke
 from fricke.cli import main
 from fricke.congruence import MISS_SCAN_MAX_LEVEL
-from fricke.obstruct import MINER_MAX_DEPTH, MINER_MAX_PRIMES
+from fricke.obstruct import MINER_MAX_PRIMES
 from fricke.orbitsearch import PADIC_MAX_MODULUS_BITS, SPECIAL_SCAN_MAX_LEN
 
 
@@ -100,14 +100,19 @@ def test_classify_takes_no_screen_budget(capsys):
     assert "unrecognized arguments: --screen-budget" in capsys.readouterr().err
 
 
-def test_scan_mine_depth_past_the_cap_exit_2(capsys):
-    code, out, err = run_cli(
-        capsys, "scan", "mine", "--u2", "1/15", "--twot", "8", "--primes", "3,5",
-        "--depth", str(MINER_MAX_DEPTH + 1),
-    )
-    assert code == 2
-    assert out == ""
-    assert "depth must be in" in err
+def test_scan_mine_depth_is_inert(capsys):
+    # the miner decides each candidate exactly, so --depth is only echoed
+    outs = []
+    for depth in ("1", "9", "10"):
+        for fmt in ("human", "structured"):
+            code, out, err = run_cli(
+                capsys, "scan", "mine", "--u2", "1/15", "--twot", "8", "--primes", "3,5",
+                "--depth", depth, "--format", fmt,
+            )
+            assert (code, err) == (0, "")
+            outs.append(re.sub(r'"(timing_ms|depth)": \d+', "", out))
+    assert outs[0::2] == outs[:1] * 3 and outs[1::2] == outs[1:2] * 3
+    assert "xor(neg(v3), neg(v5))" in outs[0]
 
 
 def test_scan_mine_too_many_primes_exit_2(capsys):

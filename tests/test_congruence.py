@@ -222,6 +222,17 @@ def test_label_level_validation():
     for flavor in (GAMMA, GAMMA0):
         with pytest.raises(ParameterError, match="level must be >= 2, got 1"):
             label_of_pair(flavor, 1, 1, 1)
+    # an unknown flavor is refused as enumerate_labels refuses it
+    with pytest.raises(ParameterError, match="unknown flavor 'frobenius'"):
+        label_of_pair("frobenius", 1, 2, 5)
+
+
+def test_gamma0_label_with_a_foreign_key_does_not_print():
+    # (3, 3) is no orbit's least point mod 4: the labels print orbit#0..#2
+    assert [str(lbl) for lbl in enumerate_labels(GAMMA0, 4)] == [
+        f"orbit#{i} mod 4" for i in range(3)]
+    with pytest.raises(ParameterError, match=r"^\(3, 3\) is not the key of a gamma0 orbit mod 4$"):
+        str(OrbitLabel(GAMMA0, 4, (3, 3)))
 
 
 # ---------------------------------------------------------------- enumeration

@@ -6,8 +6,8 @@ from math import gcd
 import pytest
 
 from fricke.errors import EmptyPredicateError, ParameterError
-from fricke.exactnum import INFINITY, is_prime, point_of
-from fricke.groups import make_group
+from fricke.exactnum import INFINITY, is_prime, parse_point, point_of, residue_mod_pk, vp_pair
+from fricke.groups import apply, make_group
 from fricke.obstruct import (
     NO_KNOWN_OBSTRUCTION,
     NOT_PSEUDOMODULAR,
@@ -24,13 +24,15 @@ from fricke.obstruct import (
     relevant_primes,
     verify_invariance,
 )
-from fricke import obstruct
+from fricke import invariance, obstruct
+from fricke.invariance import SetDecider
 from fricke.predicates import (
     And,
     ResAtom,
     ValAtom,
     Xor,
     compile_predicate,
+    eval_predicate,
     exactly_one_negative,
     neg_valuation,
 )
@@ -309,7 +311,7 @@ def test_verify_invariance_agrees_with_randint_oracle(monkeypatch, u2, two_t, bo
 
 def test_miner_rediscovers_two_prime_set():
     g = make_group(Fraction(1, 15), 4)
-    mined = mine_invariants(g, [INFINITY, point_of(0)], [3, 5], depth=5, seed=0)
+    mined = mine_invariants(g, [INFINITY, point_of(0)], [3, 5])
     assert exactly_one_negative(3, 5) in mined
     # miner soundness: every result passes a fresh verification
     for pred in mined:
@@ -317,12 +319,12 @@ def test_miner_rediscovers_two_prime_set():
 
 
 def test_miner_finds_nothing_for_dense_group():
-    mined = mine_invariants(FLAGSHIP, [INFINITY], [2, 3, 5, 11], depth=5, seed=0)
+    mined = mine_invariants(FLAGSHIP, [INFINITY], [2, 3, 5, 11])
     assert mined == []
 
 
 def test_miner_hypothesis_space_has_no_constant_true():
-    # no candidate accepts every probe of the p-power grid the miner uses
+    # no candidate accepts every probe of a p-power grid
     from fricke.predicates import eval_predicate
 
     space = candidate_predicates([3, 5])
@@ -337,40 +339,11 @@ def test_miner_hypothesis_space_has_no_constant_true():
 
 def test_miner_parameter_errors():
     with pytest.raises(ParameterError):
-        mine_invariants(FLAGSHIP, [INFINITY], [], depth=3)
-    for depth in (0, obstruct.MINER_MAX_DEPTH + 1):
-        with pytest.raises(ParameterError, match="depth must be in"):
-            mine_invariants(FLAGSHIP, [INFINITY], [3], depth=depth)
+        mine_invariants(FLAGSHIP, [INFINITY], [])
     with pytest.raises(ParameterError, match="at most 6 distinct primes, got 7"):
-        mine_invariants(FLAGSHIP, [INFINITY], [2, 3, 5, 7, 11, 13, 17, 17], depth=1)
-
-
-def _mine_oracle(g, seeds, primes, depth, seed):
-    """The miner's filter candidate by candidate: each candidate compiled
-    and evaluated on every orbit value and every probe."""
-    primes = sorted(set(primes))
-    data = obstruct._orbit_values(g, seeds, depth)
-    if not data:
-        return []
-    pool = obstruct._probe_pool(primes, seed)
-    found = []
-    for idx, cand in enumerate(candidate_predicates(primes)):
-        test = compile_predicate(cand)
-        flags = [test(n, d) for n, d in data]
-        if any(flags) and not all(flags):
-            continue
-        pool_flags = [test(x.numerator, x.denominator) for x in pool]
-        if all(pool_flags) or not any(pool_flags):
-            continue
-        try:
-            result = obstruct.verify_invariance(
-                cand, g, obstruct.MINER_VERIFY_SAMPLES, seed=seed * 7919 + idx
-            )
-        except EmptyPredicateError:
-            continue
-        if result.passed:
-            found.append(cand)
-    return found
+        mine_invariants(FLAGSHIP, [INFINITY], [2, 3, 5, 7, 11, 13, 17, 17])
+    with pytest.raises(ParameterError):
+        mine_invariants(FLAGSHIP, [INFINITY], [3, 4])
 
 
 def _leaves(pred):
@@ -403,19 +376,41 @@ def _valuation_grid(primes, vmax, k, seed):
         for p in primes:
             x *= Fraction(p) ** rng.randint(-vmax, vmax)
         out.append(x)
-    return [(x.numerator, x.denominator) for x in out]
+    return out
 
 
-def _assert_class_tables_match(atoms, leaves, values):
-    data, pool = values[::2], values[1::2]
-    tables = obstruct._class_tables(atoms, data, pool)
-    full = ((1 << len(data)) - 1, (1 << len(pool)) - 1)
-    for leaf in leaves:
-        test = compile_predicate(leaf)
-        expected = tuple(
-            sum(1 << i for i, (n, d) in enumerate(xs) if test(n, d)) for xs in (data, pool)
-        )
-        assert obstruct._membership_bits(leaf, tables, full, {}) == expected, str(leaf)
+def _assert_class_tables_match(g, atoms, leaves, values):
+    """Every value's pair (class of x, class of g.x) at each prime is one of
+    the decider's class pairs for each letter, and each leaf reads the same
+    on a value as on a representative of its class: the per-prime tables
+    miss no class and split every leaf."""
+    decider = SetDecider(g, atoms)
+    images = [[apply(m, point_of(x)) for x in values] for m in decider.mats]
+    for p, (top, k) in decider.shape.items():
+        def key(x):
+            v = vp_pair(x.numerator, x.denominator, p)
+            if v < 0:
+                return max(-top, v), v % 2, -1
+            return min(top, v), v % 2, residue_mod_pk(x, p, k) if k else 0
+
+        keys, reps = [key(x) for x in values], {}
+        for m, imgs in zip(decider.mats, images):
+            table = set()
+            for (xn, xd), (yn, yd) in invariance._class_pairs(m, p, top, k):
+                x, y = Fraction(xn, xd), Fraction(yn, yd)
+                # each representative pair is a value and its image
+                assert apply(m, point_of(x)) == point_of(y)
+                table.add((key(x), key(y)))
+                reps.setdefault(key(x), x)
+            for x, kx, img in zip(values, keys, imgs):
+                if not (img.is_infinity or img.a == 0):
+                    assert (kx, key(img.to_rational())) in table, (str(m), p, x)
+        for leaf in leaves:
+            if leaf.p == p:
+                test = compile_predicate(leaf)
+                for x, kx in zip(values, keys):
+                    rep = reps[kx]
+                    assert test(x.numerator, x.denominator) == test(rep.numerator, rep.denominator)
 
 
 @pytest.mark.parametrize("primes", [(2, 3), (3, 5), (2, 3, 11), (2, 3, 5, 7)])
@@ -423,7 +418,8 @@ def test_class_tables_agree_with_per_value_evaluation(primes):
     # valuations 3, 4 and 5 past the largest bound 2, of both parities and signs
     leaves = {leaf for cand in candidate_predicates(primes) for leaf in _leaves(cand)}
     values = _valuation_grid(primes, vmax=5, k=2, seed=sum(primes))
-    _assert_class_tables_match(obstruct._candidate_atoms(primes), leaves, values)
+    g = make_group(Fraction(1, 15), 8)
+    _assert_class_tables_match(g, obstruct._candidate_atoms(primes), leaves, values)
 
 
 def test_class_tables_read_bound_and_precision_from_the_atoms():
@@ -434,8 +430,10 @@ def test_class_tables_read_bound_and_precision_from_the_atoms():
         ValAtom(5, "=", -3), ValAtom(5, "odd"), ResAtom(5, 3, frozenset({0, 6, 124})),
         ResAtom(7, 1, frozenset({3})),
     ]
-    values = _valuation_grid((2, 3, 5, 7), vmax=7, k=3, seed=5)
-    _assert_class_tables_match(atoms, atoms, values)
+    decider = SetDecider(FLAGSHIP, atoms)
+    assert decider.shape == {2: (6, 3), 3: (5, 2), 5: (4, 3), 7: (1, 1)}
+    values = _valuation_grid((2, 3, 5, 7), vmax=7, k=3, seed=5)[::2]
+    _assert_class_tables_match(FLAGSHIP, atoms, atoms, values)
 
 
 MINER_GROUPS = [
@@ -446,31 +444,41 @@ MINER_GROUPS = [
     (Fraction(2, 3), Fraction(11, 2), (2, 3)),
     (Fraction(1, 16), 5, (2,)),
 ]
+# What the sampled miner this one replaced (orbit walk to depth 4, 400
+# probes, 300 seeded samples per candidate) mined from the seeds inf, 0 on
+# MINER_GROUPS, for its seeds 0, 1 and 7 alike
+SAMPLED_MINER_LISTS = [
+    ["xor(neg(v3), neg(v5))"], ["xor(neg(v3), neg(v5))"], ["vp(2)=-1"], [], [], ["vp(2)=-2"],
+]
+
+
+def _mine_without_sampling(monkeypatch, u2, two_t, primes, seeds):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the miner decides; it draws no samples")
+
+    monkeypatch.setattr(obstruct, "verify_invariance", no_sampling)
+    g = make_group(u2, two_t)
+    return [str(pred) for pred in mine_invariants(g, [parse_point(s) for s in seeds], primes)]
 
 
 @pytest.mark.parametrize("u2, two_t, primes", MINER_GROUPS)
 def test_miner_agrees_with_per_candidate_oracle(monkeypatch, u2, two_t, primes):
-    # fewer probes and samples keep the test fast; both sides use them
-    monkeypatch.setattr(obstruct, "MINER_POOL_SIZE", 400)
-    monkeypatch.setattr(obstruct, "MINER_VERIFY_SAMPLES", 300)
-    seeds_seen = []
-    original = obstruct.verify_invariance
+    expected = SAMPLED_MINER_LISTS[MINER_GROUPS.index((u2, two_t, primes))]
+    assert _mine_without_sampling(monkeypatch, u2, two_t, primes, ["inf", "0"]) == expected
 
-    def recording(pred, g, n, seed, *args, **kwargs):
-        seeds_seen.append(seed)
-        return original(pred, g, n, seed, *args, **kwargs)
 
-    monkeypatch.setattr(obstruct, "verify_invariance", recording)
-    g = make_group(u2, two_t)
-    for seed in (0, 1, 7):
-        seeds_seen.clear()
-        mined = mine_invariants(g, [INFINITY, point_of(0)], primes, depth=4, seed=seed)
-        mined_seeds = list(seeds_seen)
-        seeds_seen.clear()
-        expected = _mine_oracle(g, [INFINITY, point_of(0)], primes, depth=4, seed=seed)
-        assert mined == expected
-        assert mined_seeds == seeds_seen
-        assert mined_seeds  # the filters let some candidate through
+@pytest.mark.parametrize("u2, two_t, primes, seeds, expected", [
+    # seeds on both sides of the two-prime set: nothing is mined
+    (Fraction(1, 15), 8, (3, 5), ["inf", "1/5"], []),
+    (Fraction(1, 25), 12, (2, 5), ["inf", "1/5"], []),
+    (Fraction(1, 6), 10, (2, 3, 5), ["14/55"], ["res(5,1,{2,3})", "xor(neg(v2), neg(v3))"]),
+    (Fraction(1, 3), 15, (3, 5), ["1/5"], ["res(5,1,{1,3})"]),
+])
+def test_miner_agrees_with_the_sampled_miner_on_other_seeds(
+    monkeypatch, u2, two_t, primes, seeds, expected
+):
+    # the sampled miner (depth 4, its seed 3) gave these lists too
+    assert _mine_without_sampling(monkeypatch, u2, two_t, primes, seeds) == expected
 
 
 # ---------------------------------------------------------------- classify
