@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -27,8 +26,6 @@ from .orbitsearch import (
     special_point_scan,
 )
 from .congruence import miss_scan
-
-CACHE_ENV = "FRICKE_CACHE"
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +49,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_cache_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache", help=f"orbit cache file (default: ${CACHE_ENV} if set)")
-
-
-def _cache_path(args) -> str | None:
-    if args.cache:
-        return args.cache
-    return os.environ.get(CACHE_ENV) or None
+    p.add_argument("--cache", help="orbit cache file")
 
 
 def _run(args) -> int:
@@ -143,16 +134,15 @@ def _cmd_classify(args, g, config):
 
 
 def _cmd_probe(args, g, config):
-    cache = _cache_path(args)
     if args.mode == "adelic":
         x = parse_rational(args.x)
         m = parse_rational(args.m)
-        result = adelic_probe(g, x, m, args.depth, args.budget, cache)
+        result = adelic_probe(g, x, m, args.depth, args.budget, args.cache)
         config.update(x=format_rational(x), m=format_rational(m))
     else:
         y = parse_rational(args.y)
         targets = _parse_targets(args.targets)
-        result = padic_probe(g, y, targets, args.depth, args.budget, cache)
+        result = padic_probe(g, y, targets, args.depth, args.budget, args.cache)
         config.update(y=format_rational(y), targets=[f"{p}:{k}" for p, k in targets])
     config.update(depth=args.depth, budget=args.budget)
     if result.found:
@@ -171,9 +161,7 @@ def _cmd_probe(args, g, config):
 
 
 def _cmd_congruence(args, g, config):
-    miss = miss_scan(
-        g, args.flavor, args.N, args.j, args.depth, args.budget, _cache_path(args)
-    )
+    miss = miss_scan(g, args.flavor, args.N, args.j, args.depth, args.budget, args.cache)
     config.update(
         flavor=args.flavor, N=args.N, j=args.j, depth=args.depth, budget=args.budget
     )

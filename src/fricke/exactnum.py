@@ -309,6 +309,8 @@ def ball_trace_contains(x: Rational | int, m: Rational | int, y: Rational | int)
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'a' or 'a/b' into a Fraction."""
+    if "e" in text.lower():  # Fraction("1e999999999") builds 10**999999999 for hours
+        raise ParameterError(f"cannot parse rational from {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -23,6 +23,12 @@ from .groups import FrickeGroup, ProjMatrix
 from .predicates import And, Not, Or, Predicate, ResAtom, ValAtom, Xor, compile_predicate
 
 MAX_DECIDED_ATOMS = 8      # a decision builds a truth table of 2^atoms bits
+# The ball walk at a prime visits about p^k balls per level down to a cut
+# that grows with the largest |bound|. On (1/15, 8), res(2,10,{1}) took 1.1 s
+# and vp(3)<=1000 2.3 s; at both caps, and(res(127,1,{1}), vp(127)<=-32) takes
+# 1.2 s. The miner stays far inside (|bound| <= 2, p^k <= 7).
+MAX_RESIDUE_MODULUS = 128  # p^k of a residue atom
+MAX_VALUATION_BOUND = 32   # |bound| of a valuation atom
 # the truth table of atom j: bit i is set iff i has bit j set
 _VARS = [sum(1 << i for i in range(1 << MAX_DECIDED_ATOMS) if i >> j & 1)
          for j in range(MAX_DECIDED_ATOMS)]
@@ -111,6 +117,10 @@ class SetDecider:
         for atom in atoms:
             top, k = self.shape.get(atom.p, (1, 0))
             bound, precision = getattr(atom, "bound", 0), getattr(atom, "k", 0)
+            if abs(bound) > MAX_VALUATION_BOUND:
+                raise ParameterError(f"{atom}: |bound| above {MAX_VALUATION_BOUND}")
+            if precision and atom.p ** precision > MAX_RESIDUE_MODULUS:
+                raise ParameterError(f"{atom}: residue modulus above {MAX_RESIDUE_MODULUS}")
             self.shape[atom.p] = max(top, abs(bound) + 1), max(k, precision)
         self.poles = {(-y // gcd(x, y), x // gcd(x, y))
                       for a, b, c, d in self.mats for x, y in ((a, b), (c, d)) if x and y}

@@ -1,6 +1,6 @@
 """Valuation-and-congruence predicates on nonzero rationals.
 
-A predicate is a boolean tree over two kinds of atoms, evaluated at a
+A predicate is a boolean tree over two kinds of atoms, true or false at a
 nonzero rational x:
 
   * valuation atoms  vp(p) REL bound   on v_p(x), plus the parity forms
@@ -10,7 +10,9 @@ nonzero rational x:
 
 Combined with and / or / not / xor. The concrete syntax is parenthesized
 text, e.g. "xor(neg(v3), neg(v5))" or "and(vp(2)<=-2, res(3,1,{0,2}))";
-parse_predicate and str() round-trip.
+parse_predicate and str() round-trip. The nodes are data: compile_predicate
+gives their one meaning, a closure on reduced integer pairs, and
+eval_predicate applies it to a rational.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError, ParameterError
-from .exactnum import ReadOnly, require_prime, vp, vp_pair
+from .exactnum import ReadOnly, require_prime, vp_pair
 
 _RELATIONS = ("<=", "<", "=", ">=", ">", "odd", "even")
 
@@ -28,15 +30,12 @@ _RELATIONS = ("<=", "<", "=", ">=", ">", "odd", "even")
 class Predicate(ReadOnly):
     """Base class of the immutable predicate nodes.
 
-    A subclass lists its fields in __slots__ and implements evaluate(x) on
-    nonzero rationals. Nodes are equal by type and fields, so and(P, Q)
-    differs from or(P, Q).
+    A subclass lists its fields in __slots__ and prints itself in the
+    syntax parse_predicate reads; compile_predicate gives it its meaning.
+    Nodes are equal by type and fields, so and(P, Q) differs from or(P, Q).
     """
 
     __slots__ = ()
-
-    def evaluate(self, x: Fraction) -> bool:
-        raise NotImplementedError
 
 
 class ValAtom(Predicate):
@@ -49,22 +48,6 @@ class ValAtom(Predicate):
         if rel in ("odd", "even") and bound != 0:
             raise ParameterError(f"{rel}(v{p}) takes no bound, got {bound}")
         super().__init__(p, rel, bound)
-
-    def evaluate(self, x: Fraction) -> bool:
-        v = vp(x, self.p)
-        if self.rel == "<=":
-            return v <= self.bound
-        if self.rel == "<":
-            return v < self.bound
-        if self.rel == "=":
-            return v == self.bound
-        if self.rel == ">=":
-            return v >= self.bound
-        if self.rel == ">":
-            return v > self.bound
-        if self.rel == "odd":
-            return v % 2 == 1
-        return v % 2 == 0
 
     def __str__(self) -> str:
         if self.rel == "<" and self.bound == 0:
@@ -93,12 +76,6 @@ class ResAtom(Predicate):
             raise ParameterError(f"residues must lie in [0, {m})")
         super().__init__(p, k, allowed)
 
-    def evaluate(self, x: Fraction) -> bool:
-        if vp(x, self.p) < 0:
-            return False
-        m = self.p ** self.k
-        return x.numerator * pow(x.denominator, -1, m) % m in self.allowed
-
     def __str__(self) -> str:
         inner = ",".join(str(r) for r in sorted(self.allowed))
         return f"res({self.p},{self.k},{{{inner}}})"
@@ -107,18 +84,12 @@ class ResAtom(Predicate):
 class Not(Predicate):
     __slots__ = ("child",)
 
-    def evaluate(self, x: Fraction) -> bool:
-        return not self.child.evaluate(x)
-
     def __str__(self) -> str:
         return f"not({self.child})"
 
 
 class And(Predicate):
     __slots__ = ("parts",)
-
-    def evaluate(self, x: Fraction) -> bool:
-        return all(p.evaluate(x) for p in self.parts)
 
     def __str__(self) -> str:
         return "and(" + ", ".join(str(p) for p in self.parts) + ")"
@@ -127,18 +98,12 @@ class And(Predicate):
 class Or(Predicate):
     __slots__ = ("parts",)
 
-    def evaluate(self, x: Fraction) -> bool:
-        return any(p.evaluate(x) for p in self.parts)
-
     def __str__(self) -> str:
         return "or(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
 class Xor(Predicate):
     __slots__ = ("left", "right")
-
-    def evaluate(self, x: Fraction) -> bool:
-        return self.left.evaluate(x) != self.right.evaluate(x)
 
     def __str__(self) -> str:
         return f"xor({self.left}, {self.right})"
@@ -154,7 +119,7 @@ def eval_predicate(pred: Predicate, x: Fraction | int) -> bool:
     x = Fraction(x)
     if x == 0:
         raise DomainError("predicates are defined on nonzero rationals only")
-    return pred.evaluate(x)
+    return compile_predicate(pred)(x.numerator, x.denominator)
 
 
 # ---------------------------------------------------------------------------

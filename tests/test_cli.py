@@ -275,12 +275,11 @@ def test_reproducible_structured_output(capsys):
 
 # ---------------------------------------------------------------- cache
 
-def test_cache_env_var_and_reuse(capsys, tmp_path, monkeypatch):
+def test_cache_flag_reuse(capsys, tmp_path):
     cache = tmp_path / "orbits.cache"
-    monkeypatch.setenv("FRICKE_CACHE", str(cache))
     args = (
-        "probe", "padic", "--u2", "6/11", "--twot", "6",
-        "--y", "1/4", "--targets", "7:3", "--depth", "5", "--format", "structured",
+        "probe", "padic", "--u2", "6/11", "--twot", "6", "--y", "1/4", "--targets", "7:3",
+        "--depth", "5", "--cache", str(cache), "--format", "structured",
     )
     _, out1, _ = run_cli(capsys, *args)
     assert cache.exists()
@@ -289,18 +288,6 @@ def test_cache_env_var_and_reuse(capsys, tmp_path, monkeypatch):
     assert strip_timing(out1) == strip_timing(out2)
     # second run resumed from the cache instead of appending a new section
     assert cache.stat().st_size == size_after_first
-
-
-def test_cache_flag_overrides_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("FRICKE_CACHE", str(tmp_path / "unused.cache"))
-    explicit = tmp_path / "explicit.cache"
-    run_cli(
-        capsys, "probe", "padic", "--u2", "6/11", "--twot", "6",
-        "--y", "1/4", "--targets", "7:2", "--depth", "4",
-        "--cache", str(explicit),
-    )
-    assert explicit.exists()
-    assert not (tmp_path / "unused.cache").exists()
 
 
 def test_cache_file_not_ascii_exit_2(capsys, tmp_path):

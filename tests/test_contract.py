@@ -1,0 +1,191 @@
+"""Contract probes over generated input, and a guard on the package source.
+
+Every generated CLI call ends in exit code 0, 2 or 3, writes no traceback
+and returns within CALL_SECONDS. Every generated predicate prints and
+parses back to itself, evaluates alike through eval_predicate and its
+compiled form, and is decided by decide_set or refused with a
+ParameterError; so is every generated orbit label. The source guard keeps src/fricke free of floats and of
+imports from outside the standard library.
+"""
+
+import ast
+import contextlib
+import io
+import sys
+import time
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+from hypothesis import assume, given, settings, strategies as st
+
+from fricke.cli import main
+from fricke.congruence import label_of_pair
+from fricke.errors import ParameterError
+from fricke.groups import make_group
+from fricke.invariance import decide_set
+from fricke.predicates import (
+    And,
+    Not,
+    Or,
+    ResAtom,
+    ValAtom,
+    Xor,
+    compile_predicate,
+    eval_predicate,
+    parse_predicate,
+)
+
+CALL_SECONDS = 5  # generous: a call drawn here takes at most about 1 s
+SRC = Path(__file__).resolve().parents[1] / "src" / "fricke"
+
+
+def _flag(legal, malformed):
+    """A flag value: one in eight is malformed or extreme."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(malformed) if i == 0 else legal)
+
+
+def _rational(numerators, denominators):
+    return _flag(
+        st.builds(lambda n, d: f"{n}/{d}", numerators, denominators),
+        ["", " ", "abc", "1//2", "1/0", "-3/2", "0", "1.5", "1e999999999", "1/" + "9" * 40,
+         str(10 ** 50), "inf"],
+    )
+
+
+# a group needs 0 < u2 < t - 1, which most drawn pairs meet
+U2 = _rational(st.integers(1, 4), st.integers(1, 16))
+TWOT = _rational(st.integers(11, 40), st.integers(1, 2))
+RATIONAL = _rational(st.integers(-30, 30), st.integers(1, 30))
+COUNT = _flag(st.integers(0, 6).map(str), ["", "x", "2.5", "-1", "16", str(10 ** 40)])
+BUDGET = _flag(st.integers(1, 3000).map(str), ["", "x", "0x10", "-2", "0"])
+LEVEL = _flag(st.integers(1, 40).map(str), ["", "x", "0", "257", str(10 ** 30)])
+PRIMES = _flag(
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 1000003]), min_size=1, max_size=4)
+    .map(lambda ps: ",".join(map(str, ps))),
+    ["", "x", ",", "3,,5", "2,2", "4", "1", "-3", "2,3,5,7,11,13,17"],
+)
+SEEDS = _flag(st.sampled_from(["inf,0", "inf", "0", "1/2,inf"]), ["", "x", "1/0", "inf,inf"])
+TARGETS = _flag(
+    st.lists(st.tuples(st.sampled_from([2, 3, 7]), st.integers(1, 4)), min_size=1, max_size=2)
+    .map(lambda ts: ",".join(f"{p}:{k}" for p, k in ts)),
+    ["", "7", ":", "7:0", "4:2", "7:100000", "x:y", "7:3:1"],
+)
+FLAVOR = _flag(st.sampled_from(["gamma", "gamma0"]), ["", "gamma1"])
+
+
+def _command(words, flags):
+    flags = {"u2": U2, "twot": TWOT, **flags,
+             "format": st.sampled_from(["human", "structured"])}
+    # --flag=value, so that a value starting with "-" stays a value
+    return st.fixed_dictionaries(flags).map(
+        lambda values: [*words, *(f"--{k}={v}" for k, v in values.items())])
+
+
+COMMANDS = st.one_of(
+    _command(["classify"], {"special-budget": COUNT}),
+    _command(["probe", "adelic"], {"x": RATIONAL, "m": RATIONAL, "depth": COUNT, "budget": BUDGET}),
+    _command(["probe", "padic"],
+             {"y": RATIONAL, "targets": TARGETS, "depth": COUNT, "budget": BUDGET}),
+    _command(["scan", "congruence"],
+             {"flavor": FLAVOR, "N": LEVEL, "j": COUNT,
+              "depth": COUNT, "budget": BUDGET}),
+    _command(["scan", "special"], {"maxlen": COUNT}),
+    _command(["scan", "mine"], {"primes": PRIMES, "depth": COUNT, "seeds": SEEDS}),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(COMMANDS)
+def test_cli_ends_in_an_exit_code_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    started = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed flag with exit code 2
+            code = exc.code
+    assert time.monotonic() - started < CALL_SECONDS, argv
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
+@st.composite
+def _atoms(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    if draw(st.booleans()):
+        rel = draw(st.sampled_from(["<=", "<", "=", ">=", ">", "odd", "even"]))
+        if rel in ("odd", "even"):
+            return ValAtom(p, rel)
+        return ValAtom(p, rel, draw(_flag(st.integers(-3, 3), [-40, -33, 33, 1000])))
+    k = draw(st.integers(1, 3))
+    return ResAtom(p, k, frozenset(draw(st.sets(st.integers(0, p ** k - 1),
+                                                 min_size=1, max_size=3))))
+
+
+PREDICATES = st.recursive(
+    _atoms(),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(lambda parts: And(tuple(parts)), st.lists(sub, min_size=1, max_size=3)),
+        st.builds(lambda parts: Or(tuple(parts)), st.lists(sub, min_size=1, max_size=3)),
+        st.builds(Xor, sub, sub),
+    ),
+    max_leaves=6,
+)
+NONZERO = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6).filter(
+    lambda x: x != 0)
+GROUPS = [make_group(Fraction(1, 15), 8), make_group(Fraction(1, 4), 4),
+          make_group(Fraction(6, 11), 6)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(PREDICATES, NONZERO)
+def test_predicates_round_trip_and_evaluate_alike(pred, x):
+    assert parse_predicate(str(pred)) == pred
+    assert eval_predicate(pred, x) == compile_predicate(pred)(x.numerator, x.denominator)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(PREDICATES, st.sampled_from(GROUPS))
+def test_decide_set_decides_or_refuses(pred, g):
+    started = time.monotonic()
+    try:
+        decided = decide_set(pred, g)
+    except ParameterError:
+        decided = None
+    assert time.monotonic() - started < CALL_SECONDS, str(pred)
+    assert decided is None or all(isinstance(flag, bool) for flag in decided)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_flag(st.sampled_from(["gamma", "gamma0"]), ["", "gamma1", "GAMMA"]),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6),
+       _flag(st.integers(1, 300), [-1, 0, 10 ** 6, 10 ** 30]))
+def test_labels_are_computed_or_refused(flavor, num, den, n):
+    assume(gcd(num, den) == 1)
+    try:
+        label = label_of_pair(flavor, num, den, n)
+    except ParameterError:
+        return
+    assert (label.flavor, label.level) == (flavor, n)
+
+
+def test_package_source_is_float_free_and_stdlib_only():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{where}: float literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{where}: call to float")
+            elif isinstance(node, ast.Import):
+                found += [f"{where}: import {a.name}" for a in node.names
+                          if a.name.split(".")[0] not in sys.stdlib_module_names]
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] not in sys.stdlib_module_names):
+                found.append(f"{where}: from {node.module} import")
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert not found, found

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from fricke.errors import FrickeError, InvalidGroupError, ParameterError
 from fricke.groups import make_group
-from fricke.invariance import MAX_DECIDED_ATOMS, SetDecider, decide_set
+from fricke.invariance import (
+    MAX_DECIDED_ATOMS,
+    MAX_RESIDUE_MODULUS,
+    MAX_VALUATION_BOUND,
+    SetDecider,
+    decide_set,
+)
 from fricke.obstruct import (
     TWO_PRIME_OBSTRUCTION,
     Witness,
@@ -106,6 +113,18 @@ def test_decision_refuses_what_it_cannot_decide():
 
     with pytest.raises(ParameterError, match="cannot decide"):
         decide_set(And((neg_valuation(3), Opaque())), g)
+    # the ball walk grows with p^k and |bound|, which are refused before it
+    # starts: uncapped, these took 2.4 s and 52 s
+    for text in ("res(2,11,{1})", "vp(3)<=3000", "and(neg(v5), vp(2)>=-33)", "res(131,1,{1})"):
+        started = time.monotonic()
+        with pytest.raises(ParameterError, match="above"):
+            decide_set(parse_predicate(text), g)
+        assert time.monotonic() - started < 1, text
+    k = MAX_RESIDUE_MODULUS.bit_length() - 1  # the largest 2^k within the cap
+    edges = [ValAtom(3, "<=", MAX_VALUATION_BOUND), ValAtom(3, ">", -MAX_VALUATION_BOUND),
+             ResAtom(2, k, frozenset({1}))]
+    for pred in edges:
+        assert decide_set(pred, g) == (False, True, True), str(pred)
 
 
 def test_decision_reads_not_or_and_repeated_atoms():

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import mod_inverse, multiplicity
 
 from fricke.errors import DomainError, ParameterError
 from fricke.predicates import (
     And,
     Not,
     Or,
+    Predicate,
     ResAtom,
     ValAtom,
     Xor,
@@ -82,6 +84,36 @@ VAL_ATOMS = [
     for rel in ("<=", "<", "=", ">=", ">")
     for bound in range(-3, 4)
 ] + [ValAtom(p, rel) for p in (2, 3, 5) for rel in ("odd", "even")]
+# residue atoms mod p, p^2 and p^3
+RES_ATOMS = [
+    ResAtom(p, k, allowed)
+    for p in (2, 3, 5)
+    for k in (1, 2, 3)
+    for allowed in (frozenset({1}), frozenset(range(0, p ** k, 3)))
+]
+
+
+def _reference(pred, x):
+    """The value of pred at x read off the tree, with v_p from
+    sympy.multiplicity and x mod p^k from sympy.mod_inverse."""
+    if isinstance(pred, ValAtom):
+        v = multiplicity(pred.p, x.numerator) - multiplicity(pred.p, x.denominator)
+        return {
+            "<=": v <= pred.bound, "<": v < pred.bound, "=": v == pred.bound,
+            ">=": v >= pred.bound, ">": v > pred.bound, "odd": v % 2 == 1, "even": v % 2 == 0,
+        }[pred.rel]
+    if isinstance(pred, ResAtom):
+        m = pred.p ** pred.k
+        if multiplicity(pred.p, x.denominator):
+            return False
+        return x.numerator * mod_inverse(x.denominator, m) % m in pred.allowed
+    if isinstance(pred, Not):
+        return not _reference(pred.child, x)
+    if isinstance(pred, And):
+        return all(_reference(part, x) for part in pred.parts)
+    if isinstance(pred, Or):
+        return any(_reference(part, x) for part in pred.parts)
+    return _reference(pred.left, x) != _reference(pred.right, x)
 
 
 def _power_times(p, k, m, n, sign):
@@ -90,7 +122,7 @@ def _power_times(p, k, m, n, sign):
 
 
 @given(
-    st.sampled_from(SAMPLES + VAL_ATOMS),
+    st.sampled_from(SAMPLES + VAL_ATOMS + RES_ATOMS),
     st.one_of(
         st.fractions(min_value=-300, max_value=300, max_denominator=300).filter(
             lambda x: x != 0
@@ -105,22 +137,23 @@ def _power_times(p, k, m, n, sign):
         ),
     ),
 )
-def test_compiled_form_agrees_with_eval(pred, x):
+def test_compiled_form_agrees_with_sympy_reference(pred, x):
     compiled = compile_predicate(pred)
-    assert compiled(x.numerator, x.denominator) == eval_predicate(pred, x)
+    assert compiled(x.numerator, x.denominator) == _reference(pred, x)
 
 
-def test_compiled_valuation_atoms_agree_with_eval_exhaustively():
+def test_compiled_forms_agree_with_sympy_reference_exhaustively():
     units = (1, 2, 3, 5, 7, 11, 13)
-    for atom in VAL_ATOMS:
-        compiled = compile_predicate(atom)
-        for k in range(-4, 5):
-            for m in units:
-                for n in units:
-                    for sign in (1, -1):
-                        x = _power_times(atom.p, k, m, n, sign)
-                        got = compiled(x.numerator, x.denominator)
-                        assert got == eval_predicate(atom, x), (str(atom), x)
+    for pred in VAL_ATOMS + RES_ATOMS + SAMPLES:
+        compiled = compile_predicate(pred)
+        for p in [pred.p] if hasattr(pred, "p") else (2, 3, 5):
+            for k in range(-4, 5):
+                for m in units:
+                    for n in units:
+                        for sign in (1, -1):
+                            x = _power_times(p, k, m, n, sign)
+                            got = compiled(x.numerator, x.denominator)
+                            assert got == _reference(pred, x), (str(pred), x)
 
 
 def test_nodes_are_equal_by_type_and_fields():
@@ -163,3 +196,9 @@ def test_invalid_atoms():
     # res(3,1,{}) would print a set that parse_predicate rejects
     with pytest.raises(ParameterError, match="must not be empty"):
         ResAtom(3, 1, frozenset())
+
+    class Opaque(Predicate):  # a node that compile_predicate gives no meaning
+        __slots__ = ()
+
+    with pytest.raises(ParameterError, match="cannot compile"):
+        eval_predicate(Opaque(), 2)
