@@ -28,9 +28,8 @@ _EXPORTS = {
          "mine_invariants", "verify_invariance"),
         "obstruct",
     ),
-    "CuspRecord": "orbitstore",
     **dict.fromkeys(
-        ("CuspTestResult", "adelic_probe", "cusp_bfs", "cusp_test",
+        ("CuspRecord", "CuspTestResult", "adelic_probe", "cusp_bfs", "cusp_test",
          "padic_probe", "special_point_scan"),
         "orbitsearch",
     ),
