@@ -35,6 +35,9 @@ MISS_SCAN_MAX_LEVEL = 256
 # level 256 on (6/11, 6), period 128, takes 1.9 s at depth 8 (2.8M steps),
 # 7.2 s at depth 9 (9.1M) and 21 s at depth 10 (29M) on 2 cores.
 MISS_SCAN_MAX_STEPS = 4_000_000
+# Largest level whose gamma0 keys are enumerated (enumerate_labels, str()).
+# On 2 cores str() takes at most about 0.5 s up to 10^5 (95040), 6 s at 10^6.
+GAMMA0_KEYS_MAX_LEVEL = 10 ** 5
 
 # ---------------------------------------------------------------------------
 # P1(Z/N): canonical representatives
@@ -148,8 +151,14 @@ def _gamma0_key(a: int, c: int, n: int) -> tuple[int, int]:
 
 @cache
 def _gamma0_index(n: int) -> dict[tuple[int, int], int]:
-    """The sorted gamma0 keys at level n, each mapped to its orbit# index."""
-    keys = {_gamma0_key(g, e, n) for g in _divisors(n) for e in range(n) if gcd(g, e, n) == 1}
+    """The sorted gamma0 keys at level n, each mapped to its orbit# index.
+
+    The key of (g : e) depends on e only mod gcd(g, n/g), which divides g,
+    so the e in [0, g) prime to g reach every key of the divisor g.
+    """
+    if n > GAMMA0_KEYS_MAX_LEVEL:
+        raise ParameterError(f"gamma0 keys are listed up to level {GAMMA0_KEYS_MAX_LEVEL}, got {n}")
+    keys = {_gamma0_key(g, e, n) for g in _divisors(n) for e in range(g) if gcd(g, e, n) == 1}
     return {key: i for i, key in enumerate(sorted(keys))}
 
 
@@ -243,7 +252,11 @@ def miss_scan(
     so the label of c + k*2t has period P in k. The first k of every label
     therefore lies in [0, P), and exactly one period is enumerated per cusp.
     The translates are integer pairs; when q = 1 they are already in lowest
-    terms.
+    terms, (a + k*p*b, b) for the cusp a/b, and over one period they reach
+    exactly the pairs (r, b) mod L with r = a mod gcd(p*b, L): the multiples
+    of p*b mod L form a group of order L/gcd(p*b, L), which divides P. So a
+    cusp whose key (a mod gcd(p*b, L), b mod L) an earlier cusp had reaches
+    only labels already hit and is skipped, leaving hit and unhit unchanged.
     """
     _require_level(n)
     if j < 1:
@@ -263,7 +276,13 @@ def miss_scan(
     total = len(all_labels)
     hit: dict[OrbitLabel, tuple[Fraction, int]] = {}
     label_memo: dict[tuple[int, int], OrbitLabel] = {}
+    scanned: set[tuple[int, int]] = set()
     for _, a, b in bfs.finite_pairs():
+        if q == 1:
+            key = (a % gcd(p * b, level), b % level)
+            if key in scanned:
+                continue
+            scanned.add(key)
         # c0 + k*2t = (a*q + k*p*b) / (b*q)
         num, den, step = a * q, b * q, p * b
         for k in range(period):

@@ -243,12 +243,9 @@ def load_cached_bfs(
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CacheError(f"{path}: cannot read orbit cache: {exc}") from None
-    if text.startswith(marker):
-        pos = 0
-    else:
-        pos = text.find("\n" + marker) + 1
-        if pos == 0:
-            return None
+    pos = ("\n" + text).find("\n" + marker)  # the run's header starts a line
+    if pos < 0:
+        return None
     end = text.find("\n", pos)
     if end < 0:
         raise CacheError(f"{path}: cached run is cut short in its header")
@@ -311,8 +308,7 @@ def cusp_bfs(
     budget stop marks the result truncated. Runs whose parameters match a
     cached run exactly are loaded from the cache instead of recomputed;
     every other run is computed (or taken from the in-process memo of
-    recent runs) and appended to the cache. Witness words are built lazily
-    from parent pointers (see BfsResult).
+    recent runs) and appended to the cache.
     """
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")

@@ -91,12 +91,22 @@ class Not(Predicate):
 class And(Predicate):
     __slots__ = ("parts",)
 
+    def __init__(self, parts: tuple[Predicate, ...]):
+        if not parts:
+            raise ParameterError("and() takes at least one part")
+        super().__init__(parts)
+
     def __str__(self) -> str:
         return "and(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
 class Or(Predicate):
     __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Predicate, ...]):
+        if not parts:
+            raise ParameterError("or() takes at least one part")
+        super().__init__(parts)
 
     def __str__(self) -> str:
         return "or(" + ", ".join(str(p) for p in self.parts) + ")"

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -400,6 +401,34 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = set(proc.stdout.split())
     assert "fricke.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_the_cli_loads_every_traced_function_but_not_the_decider():
+    # perfbench/tracer.py wraps each (module, function) of its SPANS table,
+    # looked up in sys.modules after `import fricke.cli`; invariance is
+    # imported only where a set is decided, so orbit queries never compile it
+    tracer = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench",
+                          "tracer.py")
+    with open(tracer, encoding="utf-8") as fh:
+        spans = next(node.value for node in ast.parse(fh.read()).body
+                     if isinstance(node, ast.Assign)
+                     and getattr(node.targets[0], "id", None) == "SPANS")
+    pairs = sorted(ast.literal_eval(spans))
+    assert ("orbitsearch", "load_cached_bfs") in pairs
+    code = (
+        "import json, sys; import fricke.cli; "
+        f"print(json.dumps([[m, f] for m, f in {pairs!r} "
+        "if not callable(getattr(sys.modules.get('fricke.' + m), f, None))])); "
+        "print('fricke.invariance' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    unresolved, decider_loaded = proc.stdout.splitlines()
+    assert json.loads(unresolved) == []
+    assert decider_loaded == "False"
 
 
 LEVEL_CAP = f"must be at most {MISS_SCAN_MAX_LEVEL}"

@@ -393,6 +393,51 @@ def test_miss_scan_matches_full_window_oracle(u2, two_t, flavor, n, j):
     assert report.unhit == unhit
 
 
+def _every_cusp_miss_scan(g, flavor, n, j, depth):
+    """miss_scan with no skipped cusps: every cusp labels one full period
+    of translates, each reduced to lowest terms."""
+    level = n ** j
+    labels = enumerate_labels(flavor, level)
+    bfs = cusp_bfs(g, depth)
+    p, q = g.two_t.numerator, g.two_t.denominator
+    hit = {}
+    for _, a, b in bfs.finite_pairs():
+        num, den = a * q, b * q
+        for k in range(q * level // gcd(level, p)):
+            h = gcd(num, den)
+            hit.setdefault(label_of_pair(flavor, num // h, den // h, level), (Fraction(a, b), k))
+            num += p * b
+            if len(hit) == len(labels):
+                break
+        if len(hit) == len(labels):
+            break
+    unhit = tuple(lbl for lbl in labels if lbl not in hit)
+    return MissReport(g.u2, g.two_t, flavor, n, j, level, depth, bfs.budget, bfs.truncated,
+                      hit, unhit)
+
+
+@pytest.mark.parametrize("flavor", [GAMMA, GAMMA0])
+@pytest.mark.parametrize("u2, two_t, n, j", [
+    (Fraction(1, 4), 4, 2, 3),               # level a power of p
+    (Fraction(1, 4), 4, 3, 1),               # coprime to p
+    (Fraction(1, 4), 4, 6, 1),               # shares 2 with p
+    (Fraction(6, 11), 6, 4, 1),
+    (Fraction(6, 11), 6, 5, 1),
+    (Fraction(6, 11), 6, 3, 2),
+    (Fraction(1, 4), 18, 3, 2),              # 2t = 0 mod level
+    (Fraction(1, 2), Fraction(9, 2), 3, 1),  # q = 2
+    (Fraction(1, 2), Fraction(9, 2), 2, 2),
+    (Fraction(1, 3), Fraction(25, 3), 5, 1),  # q = 3
+    (Fraction(1, 3), Fraction(25, 3), 6, 1),
+])
+def test_miss_scan_skips_only_cusps_that_reach_no_new_pair(u2, two_t, n, j, flavor):
+    g = make_group(u2, two_t)
+    report = miss_scan(g, flavor, n, j, depth=6)
+    expected = _every_cusp_miss_scan(g, flavor, n, j, 6)
+    assert report == expected
+    assert list(report.hit.items()) == list(expected.hit.items())
+
+
 def test_orbit_label_ordering_and_str():
     lbl = gamma_label(point_of(Fraction(1, 2)), 4)
     assert str(lbl) == "(1,2) mod 4"

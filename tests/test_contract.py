@@ -4,8 +4,10 @@ Every generated CLI call ends in exit code 0, 2 or 3, writes no traceback
 and returns within CALL_SECONDS. Every generated predicate prints and
 parses back to itself, evaluates alike through eval_predicate and its
 compiled form, and is decided by decide_set or refused with a
-ParameterError; so is every generated orbit label. The source guard keeps src/fricke free of floats and of
-imports from outside the standard library.
+ParameterError; and and or refuse an empty list of parts. Every generated
+orbit label is computed and printed, or refused with a ParameterError,
+within CALL_SECONDS. The source guard keeps src/fricke free of floats and
+of imports from outside the standard library.
 """
 
 import ast
@@ -17,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fricke.cli import main
@@ -147,6 +150,17 @@ def test_predicates_round_trip_and_evaluate_alike(pred, x):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([And, Or]), st.lists(PREDICATES, max_size=3))
+def test_and_or_take_at_least_one_part(cls, parts):
+    if not parts:
+        with pytest.raises(ParameterError):
+            cls(())
+        return
+    pred = cls(tuple(parts))
+    assert parse_predicate(str(pred)) == pred
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(PREDICATES, st.sampled_from(GROUPS))
 def test_decide_set_decides_or_refuses(pred, g):
     started = time.monotonic()
@@ -161,14 +175,18 @@ def test_decide_set_decides_or_refuses(pred, g):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_flag(st.sampled_from(["gamma", "gamma0"]), ["", "gamma1", "GAMMA"]),
        st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6),
-       _flag(st.integers(1, 300), [-1, 0, 10 ** 6, 10 ** 30]))
+       _flag(st.integers(1, 300) | st.integers(1, 10 ** 6),
+             [-1, 0, 95_040, 10 ** 5, 10 ** 5 + 1, 720_720, 10 ** 6, 10 ** 30]))
 def test_labels_are_computed_or_refused(flavor, num, den, n):
     assume(gcd(num, den) == 1)
+    started = time.monotonic()
     try:
         label = label_of_pair(flavor, num, den, n)
+        assert (label.flavor, label.level) == (flavor, n)
+        assert str(label).endswith(f" mod {n}")
     except ParameterError:
-        return
-    assert (label.flavor, label.level) == (flavor, n)
+        pass
+    assert time.monotonic() - started < CALL_SECONDS, (flavor, num, den, n)
 
 
 def test_package_source_is_float_free_and_stdlib_only():
