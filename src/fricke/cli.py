@@ -39,8 +39,17 @@ def _add_group_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
-    p.add_argument("--format", choices=("human", "structured"), default="human", dest="fmt",
-                   help="human table or structured JSON")
+    p.add_argument(
+        "--format",
+        choices=("human", "structured"),
+        default="human",
+        dest="fmt",
+        help="human table or structured JSON",
+    )
+
+
+def _add_cache_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cache", help="orbit cache file")
 
 
 def _run(args) -> int:
@@ -228,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--depth", type=int, default=10)
         pp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
         _add_common_args(pp)
-        pp.add_argument("--cache", help="orbit cache file")
+        _add_cache_arg(pp)
         pp.set_defaults(handler=_cmd_probe, mode=mode)
 
     p_scan = sub.add_parser("scan", help="congruence miss scans, special points, mining")
@@ -242,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--depth", type=int, default=8)
     sc.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     _add_common_args(sc)
-    sc.add_argument("--cache", help="orbit cache file")
+    _add_cache_arg(sc)
     sc.set_defaults(handler=_cmd_congruence, mode="congruence")
 
     sp = scan_sub.add_parser("special")

@@ -151,11 +151,8 @@ def _gamma0_key(a: int, c: int, n: int) -> tuple[int, int]:
 
 @cache
 def _gamma0_index(n: int) -> dict[tuple[int, int], int]:
-    """The sorted gamma0 keys at level n, each mapped to its orbit# index.
-
-    The key of (g : e) depends on e only mod gcd(g, n/g), which divides g,
-    so the e in [0, g) prime to g reach every key of the divisor g.
-    """
+    """The sorted gamma0 keys at level n, each mapped to its orbit# index. The
+    key of (g : e) depends on e only mod gcd(g, n/g), a divisor of g, so e < g suffice."""
     if n > GAMMA0_KEYS_MAX_LEVEL:
         raise ParameterError(f"gamma0 keys are listed up to level {GAMMA0_KEYS_MAX_LEVEL}, got {n}")
     keys = {_gamma0_key(g, e, n) for g in _divisors(n) for e in range(g) if gcd(g, e, n) == 1}
@@ -252,11 +249,11 @@ def miss_scan(
     so the label of c + k*2t has period P in k. The first k of every label
     therefore lies in [0, P), and exactly one period is enumerated per cusp.
     The translates are integer pairs; when q = 1 they are already in lowest
-    terms, (a + k*p*b, b) for the cusp a/b, and over one period they reach
-    exactly the pairs (r, b) mod L with r = a mod gcd(p*b, L): the multiples
-    of p*b mod L form a group of order L/gcd(p*b, L), which divides P. So a
-    cusp whose key (a mod gcd(p*b, L), b mod L) an earlier cusp had reaches
-    only labels already hit and is skipped, leaving hit and unhit unchanged.
+    terms, (a + k*p*b, b) for the cusp a/b, and reach exactly the pairs
+    (r, b) mod L with r = a mod gcd(p*b, L), as the multiples of p*b mod L
+    form a group of order L/gcd(p*b, L), which divides P. A cusp with a key
+    (a mod gcd(p*b, L), b mod L) scanned before is the first to hit no label,
+    so skipping it leaves hit, its order and witnesses, and unhit unchanged.
     """
     _require_level(n)
     if j < 1:

@@ -1,5 +1,4 @@
-"""Cusp orbit enumeration and storage, cusp/special point testing, and
-density probes.
+"""Cusp orbit runs and their cache, cusp and special point tests, density probes.
 
 The cusp set of a group here is the orbit of infinity. Finite cusps are
 stored by their canonical representative modulo the translation by 2t,
@@ -173,9 +172,7 @@ class BfsResult:
 
     @property
     def records(self) -> tuple[CuspRecord, ...]:
-        """Every CuspRecord, materialized once and kept. Each level and
-        parity tag is derived from the parent's in one forward pass, since
-        parents come before their children."""
+        """Every CuspRecord, built once; one forward pass derives levels and parities."""
         if self._records is None:
             levels, tags = [0], [0]
             for parent, ch in zip(self.parents[1:], self.letters[1:]):
@@ -265,7 +262,7 @@ def load_cached_bfs(
     after = body[count - 1]
     if not (after.startswith("#") or (after == "" and len(body) == count)):
         raise CacheError(f"{path}: cached run does not end after {count} records")
-    steps = {ch: g.letter_matrix(ch) for ch in LETTERS}
+    steps = {ch: tuple(g.letter_matrix(ch)) for ch in LETTERS}
     p, q = g.two_t.numerator, g.two_t.denominator
     nums, dens, parents, letters, shifts = [1], [0], [-1], [""], [0]
     for i, line in enumerate(body[:count - 1], 1):
@@ -290,10 +287,6 @@ def load_cached_bfs(
 # ---------------------------------------------------------------------------
 # breadth-first cusp enumeration
 # ---------------------------------------------------------------------------
-
-def _letter_pairs(g: FrickeGroup) -> list[tuple[str, tuple[int, int, int, int]]]:
-    return [(ch, tuple(g.letter_matrix(ch))) for ch in LETTERS]
-
 
 def cusp_bfs(
     g: FrickeGroup,
@@ -327,7 +320,7 @@ def cusp_bfs(
 # results are immutable, so the memo of recent runs can share them
 @lru_cache(maxsize=3)
 def _computed_bfs(g: FrickeGroup, depth: int, budget: int) -> BfsResult:
-    steps = [(ch, m, PARITY_FLIP[ch]) for ch, m in _letter_pairs(g)]
+    steps = [(ch, tuple(g.letter_matrix(ch)), PARITY_FLIP[ch]) for ch in LETTERS]
     p, q = g.two_t.numerator, g.two_t.denominator
     nums, dens, parents, letters, shifts = [1], [0], [-1], [""], [0]
     # (num, den) of the reduced representative -> its parity bits; infinity is (1, 0)
@@ -409,7 +402,8 @@ def cusp_test(
 
     p, q = g.two_t.numerator, g.two_t.denominator
     steps = []
-    for ch, m in _letter_pairs(g):
+    for ch in LETTERS:
+        m = tuple(g.letter_matrix(ch))
         pole, j = None, 0
         if m[2]:
             # the pole -d/c of the letter is rep - j*2t
