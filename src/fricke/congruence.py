@@ -19,7 +19,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .exactnum import ProjPoint, format_rational, prime_factors
+from .exactnum import ProjPoint, format_rational, prime_factors, reduce_point
 from .groups import FrickeGroup
 from .orbitsearch import DEFAULT_NODE_BUDGET, cusp_bfs
 
@@ -35,8 +35,10 @@ MISS_SCAN_MAX_LEVEL = 256
 # level 256 on (6/11, 6), period 128, takes 1.9 s at depth 8 (2.8M steps),
 # 7.2 s at depth 9 (9.1M) and 21 s at depth 10 (29M) on 2 cores.
 MISS_SCAN_MAX_STEPS = 4_000_000
-# Largest level whose gamma0 keys are enumerated (enumerate_labels, str()).
-# On 2 cores str() takes at most about 0.5 s up to 10^5 (95040), 6 s at 10^6.
+# Largest level whose gamma0 keys are enumerated (enumerate_labels, str()) or
+# computed (label_of_pair). On 2 cores str() takes at most about 0.5 s up to
+# 10^5 (95040), 6 s at 10^6; a key costs gcd(g, n/g) steps, up to sqrt(n):
+# (10^7 : 1) takes 0.18 s at level 10^12 and 2.5 s at 10^14.
 GAMMA0_KEYS_MAX_LEVEL = 10 ** 5
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,7 @@ def _require_level(n: int) -> None:
 
 def gamma_label(x: ProjPoint, n: int) -> OrbitLabel:
     """Orbit label under the level-n principal congruence subgroup."""
-    return label_of_pair(GAMMA, x.a, x.c, n)
+    return label_of_pair(GAMMA, *reduce_point(*x), n)
 
 
 def _gamma0_key(a: int, c: int, n: int) -> tuple[int, int]:
@@ -161,7 +163,7 @@ def _gamma0_index(n: int) -> dict[tuple[int, int], int]:
 
 def gamma0_label(x: ProjPoint, n: int) -> OrbitLabel:
     """Orbit label under matrices with upper-right entry divisible by n."""
-    return label_of_pair(GAMMA0, x.a, x.c, n)
+    return label_of_pair(GAMMA0, *reduce_point(*x), n)
 
 
 def enumerate_labels(flavor: str, n: int) -> list[OrbitLabel]:
@@ -187,6 +189,10 @@ def label_of_pair(flavor: str, num: int, den: int, n: int) -> OrbitLabel:
         neg = ((-num) % n, (-den) % n)
         return OrbitLabel(GAMMA, n, min(pair, neg))
     if flavor == GAMMA0:
+        if n > GAMMA0_KEYS_MAX_LEVEL:
+            raise ParameterError(
+                f"gamma0 labels are computed up to level {GAMMA0_KEYS_MAX_LEVEL}, got {n}"
+            )
         return OrbitLabel(GAMMA0, n, _gamma0_key(num, den, n))
     raise ParameterError(f"unknown flavor {flavor!r}; use 'gamma' or 'gamma0'")
 

@@ -30,7 +30,7 @@ import os
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CacheError, InternalCheckError, ParameterError
@@ -40,6 +40,7 @@ from .exactnum import (
     Rational,
     ball_trace_contains,
     format_rational,
+    reduce_point,
     require_prime,
     vp,
 )
@@ -397,6 +398,7 @@ def cusp_test(
         raise ParameterError(f"depth must be >= 0, got {depth}")
     if budget < 1:
         raise ParameterError(f"budget must be >= 1, got {budget}")
+    x = reduce_point(*x)
     if x.is_infinity:
         return CuspTestResult("cusp", witness="", depth=0)
 
@@ -536,7 +538,8 @@ def special_point_scan(g: FrickeGroup, max_len: int) -> list[tuple[ProjPoint, Wo
 # ---------------------------------------------------------------------------
 
 class ProbeResult(NamedTuple):
-    """found=True answers are verified exactly before being returned."""
+    """found=True answers are verified exactly before being returned; the
+    cusp is base_point + offset*2t with offset the least k >= 0 that hits."""
 
     found: bool
     cusp: Fraction | None = None
@@ -561,19 +564,45 @@ class ProbeResult(NamedTuple):
 
 def _first_hit(
     bfs: BfsResult,
-    offset: Callable[[int, int], int | None],
+    y: Fraction,
+    m: Fraction,
+    primes: tuple[int, ...],
     recheck: Callable[[Fraction], bool],
 ) -> ProbeResult:
-    """The first cusp c0 + k*2t in enumeration order that a probe accepts.
+    """The first cusp c = c0 + k*2t in enumeration order with (c - y)/m
+    integral at every prime (primes empty) or at the given primes.
 
-    offset(num, den) solves for the translation multiple k of the record
-    num/den, or returns None when no translate of it is a hit; the hit is
-    rechecked exactly before it is returned.
+    Write c0 = cn/cd, y = yn/yd, m = mn/md and 2t = p/q. Then
+    (c0 + k*2t - y)/m = (a*k - b)/d with a = p*cd*yd*md,
+    b = (yn*cd - cn*yd)*q*md and d = cd*yd*q*|mn|, which is integral at a
+    prime l iff the l-part of d divides a*k - b. So with d' = d, or the
+    part of d at the given primes, the hits are the k with a*k = b mod d':
+    none unless h = gcd(a, d') divides b, and otherwise k = (b/h)(a/h)^-1
+    mod d'/h is the least k >= 0. The given primes are those of mn, so d'
+    is the part of cd*yd*q at them times |mn|; splitting only cd*yd*q keeps
+    a loop step per prime power off a modulus mn of up to 4096 bits. The
+    hit is rechecked exactly before it is returned.
     """
+    p, q = bfs.two_t.numerator, bfs.two_t.denominator
+    yn, yd = y.numerator, y.denominator
+    mn, md = abs(m.numerator), m.denominator
+    rad = prod(primes)
     for i, cn, cd in bfs.finite_pairs():
-        k = offset(cn, cd)
-        if k is None:
+        a = p * cd * yd * md
+        b = (yn * cd - cn * yd) * q * md
+        d = cd * yd * q
+        if primes:  # keep the part of cd*yd*q at the given primes
+            rest, g = d, gcd(d, rad)
+            while g > 1:
+                rest //= g
+                g = gcd(rest, g)
+            d //= rest
+        d *= mn
+        h = gcd(a, d)
+        if b % h:
             continue
+        n = d // h
+        k = b // h * pow(a // h, -1, n) % n
         c0 = Fraction(cn, cd)
         cusp = c0 + k * bfs.two_t
         if not recheck(cusp):
@@ -590,14 +619,6 @@ def _first_hit(
     return ProbeResult(found=False, depth=bfs.depth, truncated=bfs.truncated)
 
 
-def _rational_lattice_gcd(m: Fraction, t: Fraction) -> Fraction:
-    """Positive generator of the subgroup mZ + tZ of Q."""
-    return Fraction(
-        gcd(abs(m.numerator) * t.denominator, abs(t.numerator) * m.denominator),
-        m.denominator * t.denominator,
-    )
-
-
 def adelic_probe(
     g: FrickeGroup,
     x: Rational,
@@ -606,45 +627,14 @@ def adelic_probe(
     budget: int = DEFAULT_NODE_BUDGET,
     cache_path: str | None = None,
 ) -> ProbeResult:
-    """Search the cusp set for a member of the adelic ball trace x + mZ.
-
-    For each enumerated cusp c0 the full translation class c0 + 2tZ is
-    tested exactly: a solution of c0 + k*2t in x + mZ exists iff c0 - x
-    lies in mZ + 2tZ. The first hit in enumeration order is returned.
-    """
+    """Search the cusp set for a member of the adelic ball trace x + mZ:
+    the first cusp c0 + k*2t in enumeration order with (c - x)/m in Z."""
     x = Fraction(x)
     m = Fraction(m)
     if m == 0:
         raise ParameterError("ball modulus m must be nonzero")
     bfs = cusp_bfs(g, depth, budget, cache_path)
-    lattice = _rational_lattice_gcd(m, g.two_t)
-    s = g.two_t / m
-    a, b = s.numerator, s.denominator
-    xn, xd = x.numerator, x.denominator
-    ln, ld = lattice.numerator, lattice.denominator
-
-    def offset(cn: int, cd: int) -> int | None:
-        # (c0 - x) / lattice = (cn*xd - xn*cd) * ld / (cd*xd*ln) is an integer
-        if (cn * xd - xn * cd) * ld % (cd * xd * ln):
-            return None
-        r = (Fraction(cn, cd) - x) / m
-        e, f = r.numerator, r.denominator
-        # f divides b here; solve k*a/b = -e/f (mod 1)
-        return 0 if b == 1 else (-(e * (b // f)) * pow(a, -1, b)) % b
-
-    return _first_hit(bfs, offset, lambda cusp: ball_trace_contains(x, m, cusp))
-
-
-def _crt(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Combine congruences with pairwise coprime moduli."""
-    r0, m0 = 0, 1
-    for r, m in pairs:
-        if m == 1:
-            continue
-        inv = pow(m0, -1, m)
-        r0 = r0 + m0 * ((r - r0) * inv % m)
-        m0 *= m
-    return r0 % m0, m0
+    return _first_hit(bfs, x, m, (), lambda cusp: ball_trace_contains(x, m, cusp))
 
 
 # Largest combined target modulus prod p^k that normalize_targets accepts, in
@@ -682,52 +672,15 @@ def padic_probe(
     cache_path: str | None = None,
 ) -> ProbeResult:
     """Search cusps and their translates for c with v_p(c - y) >= k for all
-    targets (p, k) simultaneously.
-
-    For each cusp representative c0 the offset j with c = c0 + j*2t is
-    found by solving one congruence per target prime and combining them;
-    the valuations of the winner are re-verified exactly.
-    """
+    targets (p, k) simultaneously: the first cusp c0 + k*2t in enumeration
+    order with (c - y)/prod p^k integral at the target primes."""
     y = Fraction(y)
     targets = normalize_targets(targets)
     bfs = cusp_bfs(g, depth, budget, cache_path)
-    a, b = g.two_t.numerator, g.two_t.denominator
-    yn, yd = y.numerator, y.denominator
-
-    def offset(cn: int, cd: int) -> int | None:
-        # c0 - y = e/f in lowest terms, f > 0
-        e, f = cn * yd - yn * cd, cd * yd
-        h = gcd(e, f)
-        e, f = e // h, f // h
-        A = a * f
-        B = e * b
-        congruences: list[tuple[int, int]] = []
-        for p, k in targets:
-            fb = f * b
-            vfb = 0
-            while fb % p == 0:
-                fb //= p
-                vfb += 1
-            K = k + vfb
-            alpha = 0
-            Ar = abs(A)
-            while Ar % p == 0 and alpha < K:
-                Ar //= p
-                alpha += 1
-            if alpha >= K:
-                if B % p ** K != 0:
-                    return None
-                continue
-            pa = p ** alpha
-            if B % pa != 0:
-                return None
-            mod = p ** (K - alpha)
-            j = (-(B // pa) * pow((A // pa) % mod, -1, mod)) % mod
-            congruences.append((j, mod))
-        return _crt(congruences)[0]
 
     def recheck(cusp: Fraction) -> bool:
         z = cusp - y
         return z == 0 or all(vp(z, p) >= k for p, k in targets)
 
-    return _first_hit(bfs, offset, recheck)
+    modulus = Fraction(prod(p ** k for p, k in targets))
+    return _first_hit(bfs, y, modulus, tuple(p for p, _ in targets), recheck)

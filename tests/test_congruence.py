@@ -19,7 +19,7 @@ from fricke.congruence import (
     p1_points,
     p1_reduce,
 )
-from fricke.errors import ParameterError
+from fricke.errors import DomainError, ParameterError
 from fricke.exactnum import INFINITY, ProjPoint, point_of, reduce_point
 from fricke import congruence
 from fricke.groups import make_group
@@ -225,6 +225,28 @@ def test_label_level_validation():
     # an unknown flavor is refused as enumerate_labels refuses it
     with pytest.raises(ParameterError, match="unknown flavor 'frobenius'"):
         label_of_pair("frobenius", 1, 2, 5)
+
+
+def test_gamma0_label_refuses_levels_above_the_key_cap():
+    # a key costs gcd(g, n/g) steps, which reaches 10^7 for (10^7 : 1) at 10^14
+    cap = congruence.GAMMA0_KEYS_MAX_LEVEL
+    assert str(label_of_pair(GAMMA0, 1, 2, cap)) == f"orbit#1 mod {cap}"
+    for n in (cap + 1, 10 ** 14):
+        refusal = f"^gamma0 labels are computed up to level {cap}, got {n}$"
+        with pytest.raises(ParameterError, match=refusal):
+            label_of_pair(GAMMA0, 10 ** 7, 1, n)
+        with pytest.raises(ParameterError):
+            gamma0_label(point_of(1), n)
+    assert label_of_pair(GAMMA, 10 ** 7, 1, 10 ** 14).key == (10 ** 7, 1)
+
+
+@pytest.mark.parametrize("label", [gamma_label, gamma0_label])
+def test_labels_reduce_the_point(label):
+    pairs = (((2, 8), (1, 4)), ((-1, -4), (1, 4)), ((4, 2), (2, 1)), ((-3, 0), (1, 0)))
+    for pair, reduced in pairs:
+        assert label(ProjPoint(*pair), 5) == label(ProjPoint(*reduced), 5)
+    with pytest.raises(DomainError):
+        label(ProjPoint(0, 0), 5)
 
 
 def test_gamma0_label_with_a_foreign_key_does_not_print():

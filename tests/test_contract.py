@@ -20,7 +20,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fricke.cli import main
 from fricke.congruence import label_of_pair
@@ -177,6 +177,7 @@ def test_decide_set_decides_or_refuses(pred, g):
        st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6),
        _flag(st.integers(1, 300) | st.integers(1, 10 ** 6),
              [-1, 0, 95_040, 10 ** 5, 10 ** 5 + 1, 720_720, 10 ** 6, 10 ** 30]))
+@example("gamma0", 10 ** 7, 1, 10 ** 14)
 def test_labels_are_computed_or_refused(flavor, num, den, n):
     assume(gcd(num, den) == 1)
     started = time.monotonic()

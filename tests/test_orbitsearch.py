@@ -1,13 +1,15 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
 from fricke.cli import main
-from fricke.errors import CacheError, InternalCheckError, ParameterError
+from fricke.errors import CacheError, DomainError, InternalCheckError, ParameterError
 from fricke.exactnum import (
     INFINITY,
+    ProjPoint,
     ball_trace_contains,
     point_of,
     reduce_point,
@@ -33,6 +35,7 @@ from fricke.orbitsearch import (
     SPECIAL_SCAN_MAX_LEN,
     CuspRecord,
     CuspTestResult,
+    ProbeResult,
     _LETTER_RANK,
     _letter_step,
     _word_key,
@@ -404,6 +407,19 @@ def test_cusp_test_finds_translated_poles_at_depth_one(x):
 
 
 
+@pytest.mark.parametrize("pair, reduced", [
+    ((-2, -1), (2, 1)), ((4, 2), (2, 1)), ((2, 8), (1, 4)), ((-1, -4), (1, 4)), ((-3, 0), (1, 0)),
+])
+def test_cusp_test_reduces_the_point(pair, reduced):
+    # (2 : 1) is a cusp and (1 : 4) a special point of the flagship group
+    assert cusp_test(FLAGSHIP, ProjPoint(*pair), 8) == cusp_test(FLAGSHIP, ProjPoint(*reduced), 8)
+
+
+def test_cusp_test_refuses_zero_zero():
+    with pytest.raises(DomainError):
+        cusp_test(FLAGSHIP, ProjPoint(0, 0), 8)
+
+
 def test_cusp_test_rejects_a_budget_below_one():
     # a budget of 0 used to return kind 'unknown' without searching
     for budget in (0, -3):
@@ -608,8 +624,9 @@ def test_adelic_probe_brute_force_agreement():
         x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         m = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
         res = adelic_probe(MODSUB, x, m, depth=6)
-        # oracle: scan every cusp and a window of translation multiples for
-        # (c0 + k*2t - x) / m in Z, over the common denominator cd*Td*xd*mn
+        # oracle: scan every cusp and one period of translation multiples
+        # k >= 0 for (c0 + k*2t - x) / m in Z, over the common denominator
+        # cd*Td*xd*mn; base + k*step mod den repeats after den/gcd(step, den)
         xn, xd, mn, md = x.numerator, x.denominator, m.numerator, m.denominator
         tn, td = T.numerator, T.denominator
         brute = None
@@ -617,8 +634,8 @@ def test_adelic_probe_brute_force_agreement():
             cn, cd = rec.point
             base = (cn * td * xd - xn * cd * td) * md
             step = tn * cd * xd * md
-            den = cd * td * xd * mn
-            for k in range(-200, 201):
+            den = abs(cd * td * xd * mn)
+            for k in range(den // gcd(step, den)):
                 if (base + k * step) % den == 0:
                     brute = (Fraction(cn, cd), k)
                     break
@@ -626,7 +643,7 @@ def test_adelic_probe_brute_force_agreement():
                 break
         assert res.found == (brute is not None)
         if res.found:
-            assert res.base_point == brute[0]
+            assert (res.base_point, res.offset) == brute
 
 
 def test_adelic_probe_zero_modulus_rejected():
@@ -664,24 +681,33 @@ def test_padic_probe_obstructed_target_not_found():
 
 def test_padic_probe_brute_force_agreement():
     rng = random.Random(17)
-    bfs = cusp_bfs(FLAGSHIP, 4)
-    T = FLAGSHIP.two_t
-    for _ in range(30):
+    for g in [FLAGSHIP] * 30 + [FRACTIONAL] * 30:
+        bfs, T = cusp_bfs(g, 4), g.two_t
         y = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
-        p = rng.choice([2, 3, 5, 7, 11])
-        k = rng.randint(1, 2)
-        res = padic_probe(FLAGSHIP, y, [(p, k)], depth=4)
+        targets = normalize_targets(
+            (rng.choice([2, 3, 5, 7, 11]), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))
+        )
+        res = padic_probe(g, y, targets, depth=4)
+        # whether v_p(c0 + j*2t - y) >= k holds is unchanged by j -> j + P
+        # once v_p(P*2t) >= k, so P = prod p^k * den(2t) is one period
+        period = T.denominator
+        for p, k in targets:
+            period *= p ** k
+        yn, yd, tn, td = y.numerator, y.denominator, T.numerator, T.denominator
         brute = None
         for rec in bfs.finite_points():
-            c0 = rec.point.to_rational()
-            for j in range(0, p**k * T.denominator * 4):
-                diff = c0 + j * T - y
-                if diff == 0 or vp(diff, p) >= k:
-                    brute = (c0, j)
+            cn, cd = rec.point
+            # c0 + j*2t - y = (base + j*step) / den, and v_p of it is >= k
+            # iff p^(k + v_p(den)) divides base + j*step (0 included)
+            base, step, den = (cn * yd - yn * cd) * td, tn * cd * yd, cd * yd * td
+            mods = [p ** (k + vp(den, p)) for p, k in targets]
+            for j in range(period):
+                if all((base + j * step) % mod == 0 for mod in mods):
+                    brute = (Fraction(cn, cd), j)
                     break
             if brute:
                 break
-        assert res.found == (brute is not None), (y, p, k)
+        assert res.found == (brute is not None), (y, targets)
         if res.found:
             assert (res.base_point, res.offset) == brute
 
@@ -704,6 +730,18 @@ def test_normalize_targets_bounds_the_modulus():
     for targets in ([(2, 2049)], [(2, 1000), (3, 1049)], [(7, 10 ** 18)]):
         with pytest.raises(ParameterError, match="must be at most 4096"):
             normalize_targets(targets)
+
+
+@pytest.mark.parametrize("targets", [[(2, 2000)], [(2, 1000), (3, 1048)]])
+def test_padic_probe_at_the_modulus_cap_is_fast(targets):
+    # a miss walks all 22,050 records against a 4,000-bit modulus; it takes
+    # tens of milliseconds when only the small part cd*yd*den(2t) of each
+    # record's congruence modulus is split at the target primes
+    cusp_bfs(SQUARE, 8)
+    start = time.perf_counter()
+    res = padic_probe(SQUARE, Fraction(1, 2), targets, depth=8)
+    assert not res.found
+    assert time.perf_counter() - start < 2.0
 
 
 def test_probe_determinism():
@@ -740,6 +778,139 @@ def test_fractional_translation_probes():
     res2 = adelic_probe(FRACTIONAL, Fraction(1, 7), Fraction(3, 7), depth=4)
     assert res2.found
     assert ball_trace_contains(Fraction(1, 7), Fraction(3, 7), res2.cusp)
+
+
+# ---------------------------------------------------------------- solver oracle
+
+# The two offset solvers that _first_hit's one linear congruence replaced,
+# kept as a reference: the adelic probe's lattice-gcd test with one modular
+# inverse, and the p-adic probe's Hensel-style solve per target prime
+# combined by the Chinese remainder theorem. Each maps a record cn/cd to the
+# least translation multiple k >= 0 that hits, or None.
+
+def _oracle_lattice_gcd(m, t):
+    """Positive generator of the subgroup mZ + tZ of Q."""
+    return Fraction(
+        gcd(abs(m.numerator) * t.denominator, abs(t.numerator) * m.denominator),
+        m.denominator * t.denominator,
+    )
+
+
+def _oracle_crt(pairs):
+    """Combine congruences with pairwise coprime moduli."""
+    r0, m0 = 0, 1
+    for r, m in pairs:
+        if m == 1:
+            continue
+        inv = pow(m0, -1, m)
+        r0 = r0 + m0 * ((r - r0) * inv % m)
+        m0 *= m
+    return r0 % m0, m0
+
+
+def _oracle_adelic_offset(two_t, x, m):
+    lattice = _oracle_lattice_gcd(m, two_t)
+    s = two_t / m
+    a, b = s.numerator, s.denominator
+    xn, xd = x.numerator, x.denominator
+    ln, ld = lattice.numerator, lattice.denominator
+
+    def offset(cn, cd):
+        # (c0 - x) / lattice = (cn*xd - xn*cd) * ld / (cd*xd*ln) is an integer
+        if (cn * xd - xn * cd) * ld % (cd * xd * ln):
+            return None
+        r = (Fraction(cn, cd) - x) / m
+        e, f = r.numerator, r.denominator
+        # f divides b here; solve k*a/b = -e/f (mod 1)
+        return 0 if b == 1 else (-(e * (b // f)) * pow(a, -1, b)) % b
+
+    return offset
+
+
+def _oracle_padic_offset(two_t, y, targets):
+    a, b = two_t.numerator, two_t.denominator
+    yn, yd = y.numerator, y.denominator
+
+    def offset(cn, cd):
+        # c0 - y = e/f in lowest terms, f > 0
+        e, f = cn * yd - yn * cd, cd * yd
+        h = gcd(e, f)
+        e, f = e // h, f // h
+        A = a * f
+        B = e * b
+        congruences = []
+        for p, k in targets:
+            fb = f * b
+            vfb = 0
+            while fb % p == 0:
+                fb //= p
+                vfb += 1
+            K = k + vfb
+            alpha = 0
+            Ar = abs(A)
+            while Ar % p == 0 and alpha < K:
+                Ar //= p
+                alpha += 1
+            if alpha >= K:
+                if B % p ** K != 0:
+                    return None
+                continue
+            pa = p ** alpha
+            if B % pa != 0:
+                return None
+            mod = p ** (K - alpha)
+            j = (-(B // pa) * pow((A // pa) % mod, -1, mod)) % mod
+            congruences.append((j, mod))
+        return _oracle_crt(congruences)[0]
+
+    return offset
+
+
+def _oracle_first_hit(bfs, offset):
+    for i, cn, cd in bfs.finite_pairs():
+        k = offset(cn, cd)
+        if k is not None:
+            c0 = Fraction(cn, cd)
+            return ProbeResult(True, c0 + k * bfs.two_t, k, c0, bfs.witness(i),
+                               bfs.depth, bfs.truncated)
+    return ProbeResult(False, depth=bfs.depth, truncated=bfs.truncated)
+
+
+ORACLE_GROUPS = [FLAGSHIP, MODSUB, SQUARE, FRACTIONAL, make_group(Fraction(1, 4), Fraction(25, 3)),
+                 make_group(Fraction(2, 3), Fraction(11, 2)), make_group(Fraction(1, 15), 8),
+                 make_group(Fraction(1, 10), Fraction(7, 3))]
+
+
+def _random_rational(rng, dens):
+    return Fraction(rng.randint(-30, 30), rng.choice(dens))
+
+
+def test_probes_match_the_per_prime_oracle():
+    # fractional 2t, negative and fractional m, and up to 4 targets at
+    # primes of num(2t) and den(2t), with some balls centred on a cusp
+    rng = random.Random(20)
+    dens = [1, 2, 3, 4, 5, 8, 9, 11, 12, 25, 27]
+    hits = misses = 0
+    for g in ORACLE_GROUPS:
+        bfs = cusp_bfs(g, 4)
+        cusps = [Fraction(cn, cd) for _, cn, cd in bfs.finite_pairs()]
+        for case in range(160):
+            y = _random_rational(rng, dens)
+            if case % 5 == 0:
+                y = rng.choice(cusps) + rng.randint(-3, 3) * g.two_t
+            if case % 2:
+                m = _random_rational(rng, dens) or Fraction(-1, 3)
+                res = adelic_probe(g, y, m, depth=4)
+                want = _oracle_first_hit(bfs, _oracle_adelic_offset(g.two_t, y, m))
+            else:
+                primes = rng.sample([2, 3, 5, 7, 11], rng.randint(1, 4))
+                targets = normalize_targets((p, rng.randint(1, 7)) for p in primes)
+                res = padic_probe(g, y, targets, depth=4)
+                want = _oracle_first_hit(bfs, _oracle_padic_offset(g.two_t, y, targets))
+            assert res == want, (g.u2, g.two_t, y, case)
+            hits += res.found
+            misses += not res.found
+    assert hits > 300 and misses > 300
 
 
 # ---------------------------------------------------------------- monotonicity
