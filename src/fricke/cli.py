@@ -1,16 +1,24 @@
 """Command-line interface: classify, probe (adelic|padic), scan (congruence|special|mine).
 
-Exit codes: 0 for a computed verdict / Found / completed scan, 2 for invalid
-input, 3 for a probe that exhausted its budget without finding anything
-(evidence, not proof). Structured output is a single JSON document with a
-stable field order; byte-identical runs are byte-identical reports except
-for the timing_ms field.
+Exit codes: 0 for a computed verdict / Found / completed scan, 1 when the
+reader closed stdout before the report was written, 2 for invalid input, 3
+for a probe that exhausted its budget without finding anything (evidence,
+not proof). Structured output is a single JSON document with a stable field
+order; byte-identical runs are byte-identical reports except for the
+timing_ms field.
+
+Every query is a fresh process, so the obstruction, orbit and congruence
+layers are registered lazily: each module's code runs on its first
+attribute use, and a query executes only the layers its command calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
+import re
 import sys
 import time
 
@@ -18,19 +26,44 @@ from . import __version__
 from .errors import FrickeError, ParameterError
 from .exactnum import format_rational, parse_point, parse_rational
 from .groups import make_group
-from .obstruct import classify, mine_invariants
-from .orbitsearch import (
-    DEFAULT_NODE_BUDGET,
-    adelic_probe,
-    padic_probe,
-    special_point_scan,
-)
-from .congruence import miss_scan
+
+EXIT_STDOUT_CLOSED = 1
+
+
+def _lazy_layer(name: str):
+    """The module fricke.<name>, registered in sys.modules; unless it was
+    imported already, its code runs on the first access to an attribute."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+obstruct = _lazy_layer("obstruct")
+orbitsearch = _lazy_layer("orbitsearch")
+congruence = _lazy_layer("congruence")
 
 
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a word such as -3/4 as a negative rational value, not as an
+    option; subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            rf"{self._negative_number_matcher.pattern}|^-\d+/\d+$"
+        )
+
 
 def _add_group_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u2", required=True, help="first parameter, e.g. 6/11")
@@ -107,7 +140,7 @@ def _parse_ints(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args, g, config):
-    verdict = classify(g, args.special_budget)
+    verdict = obstruct.classify(g, args.special_budget)
     config["special_budget"] = args.special_budget
     lines = [
         f"conclusion                  {verdict.conclusion}",
@@ -134,17 +167,18 @@ def _cmd_classify(args, g, config):
 
 
 def _cmd_probe(args, g, config):
+    budget = orbitsearch.DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     if args.mode == "adelic":
         x = parse_rational(args.x)
         m = parse_rational(args.m)
-        result = adelic_probe(g, x, m, args.depth, args.budget, args.cache)
+        result = orbitsearch.adelic_probe(g, x, m, args.depth, budget, args.cache)
         config.update(x=format_rational(x), m=format_rational(m))
     else:
         y = parse_rational(args.y)
         targets = _parse_targets(args.targets)
-        result = padic_probe(g, y, targets, args.depth, args.budget, args.cache)
+        result = orbitsearch.padic_probe(g, y, targets, args.depth, budget, args.cache)
         config.update(y=format_rational(y), targets=[f"{p}:{k}" for p, k in targets])
-    config.update(depth=args.depth, budget=args.budget)
+    config.update(depth=args.depth, budget=budget)
     if result.found:
         lines = [
             f"found cusp {format_rational(result.cusp)}"
@@ -161,10 +195,9 @@ def _cmd_probe(args, g, config):
 
 
 def _cmd_congruence(args, g, config):
-    miss = miss_scan(g, args.flavor, args.N, args.j, args.depth, args.budget, args.cache)
-    config.update(
-        flavor=args.flavor, N=args.N, j=args.j, depth=args.depth, budget=args.budget
-    )
+    budget = orbitsearch.DEFAULT_NODE_BUDGET if args.budget is None else args.budget
+    miss = congruence.miss_scan(g, args.flavor, args.N, args.j, args.depth, budget, args.cache)
+    config.update(flavor=args.flavor, N=args.N, j=args.j, depth=args.depth, budget=budget)
     payload = miss.to_dict()
     lines = [
         f"labels at level {miss.level} ({args.flavor}): "
@@ -181,7 +214,7 @@ def _cmd_congruence(args, g, config):
 
 
 def _cmd_special(args, g, config):
-    pairs = special_point_scan(g, args.maxlen)
+    pairs = orbitsearch.special_point_scan(g, args.maxlen)
     config["maxlen"] = args.maxlen
     payload = {
         "count": len(pairs),
@@ -195,7 +228,7 @@ def _cmd_special(args, g, config):
 def _cmd_mine(args, g, config):
     seeds = [parse_point(s) for s in args.seeds.split(",")]
     primes = _parse_ints(args.primes)
-    mined = mine_invariants(g, seeds, primes)
+    mined = obstruct.mine_invariants(g, seeds, primes)
     config.update(seeds=[str(s) for s in seeds], primes=primes, depth=args.depth)
     payload = {"count": len(mined), "predicates": [str(p) for p in mined]}
     lines = [f"mined invariant sets: {len(mined)}"]
@@ -208,7 +241,7 @@ def _cmd_mine(args, g, config):
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fricke",
         description="exact-arithmetic cusp-set toolkit for rational Fricke groups",
     )
@@ -235,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
             pp.add_argument("--targets", required=True,
                             help="prime:precision list, e.g. 7:3,2:2")
         pp.add_argument("--depth", type=int, default=10)
-        pp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+        # the handlers fill in the default budget, so that building the
+        # parser does not execute orbitsearch
+        pp.add_argument("--budget", type=int)
         _add_common_args(pp)
         _add_cache_arg(pp)
         pp.set_defaults(handler=_cmd_probe, mode=mode)
@@ -249,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--N", type=int, required=True)
     sc.add_argument("--j", type=int, default=1)
     sc.add_argument("--depth", type=int, default=8)
-    sc.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sc.add_argument("--budget", type=int)
     _add_common_args(sc)
     _add_cache_arg(sc)
     sc.set_defaults(handler=_cmd_congruence, mode="congruence")
@@ -275,10 +310,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
     except FrickeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`fricke ... | head -1`); point
+        # stdout at devnull so that the flush at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
+    return code
 
 
 if __name__ == "__main__":

@@ -202,15 +202,17 @@ def _cache_header(result_or_params) -> str:
     )
 
 
+def _cache_line(parent: int, ch: str) -> str:
+    return f"{parent}\t{ch}"
+
+
 def append_bfs_cache(path: str, result: BfsResult) -> None:
     """Append one completed run; the file is never rewritten."""
     lines = [
         _cache_header((result.u2, result.two_t, result.depth, result.budget))
         + f" truncated={int(result.truncated)} records={len(result.nums)}"
     ]
-    lines.extend(
-        f"{parent}\t{ch}" for parent, ch in zip(result.parents[1:], result.letters[1:])
-    )
+    lines.extend(map(_cache_line, result.parents[1:], result.letters[1:]))
     try:
         with open(path, "a", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -218,8 +220,10 @@ def append_bfs_cache(path: str, result: BfsResult) -> None:
         raise CacheError(f"{path}: cannot write orbit cache: {exc}") from None
 
 
-# parent index, letter
-_CACHE_LINE = re.compile(r"(0|[1-9]\d*)\t([AaBb])")
+# the first line that is not a well-formed record line (parent index, letter);
+# searching for it keeps no state per line, where matching the run of record
+# lines with a repeated group keeps about 200 bytes a line
+_CACHE_RECORDS_END = re.compile(r"^(?!(?:0|[1-9]\d*)\t[AaBb]\n)", re.MULTILINE)
 
 
 def load_cached_bfs(
@@ -256,30 +260,40 @@ def load_cached_bfs(
         raise CacheError(f"{path}: malformed cache header {header!r}") from None
     if count < 1:
         raise CacheError(f"{path}: cached run must hold at least 1 record, not {count}")
-    # count - 1 record lines, then the next header or the end of the file
-    body = text[end + 1:].split("\n", count)
-    if len(body) < count:
-        raise CacheError(f"{path}: cached run holds fewer than {count} records")
-    after = body[count - 1]
-    if not (after.startswith("#") or (after == "" and len(body) == count)):
+    # count - 1 record lines, then the next header or the end of the file;
+    # a short block is named before a malformed line in it
+    start = end + 1
+    stop = _CACHE_RECORDS_END.search(text, start).start()
+    well_formed = text.count("\n", start, stop)
+    if well_formed < count - 1:
+        rest = text[stop:].split("\n", count - 1 - well_formed)
+        if len(rest) < count - well_formed:
+            raise CacheError(f"{path}: cached run holds fewer than {count} records")
+        ends = rest[-1] == "" or rest[-1].startswith("#")
+    else:
+        ends = well_formed == count - 1 and (stop == len(text) or text[stop] == "#")
+    if not ends:
         raise CacheError(f"{path}: cached run does not end after {count} records")
     steps = {ch: tuple(g.letter_matrix(ch)) for ch in LETTERS}
     p, q = g.two_t.numerator, g.two_t.denominator
     nums, dens, parents, letters, shifts = [1], [0], [-1], [""], [0]
-    for i, line in enumerate(body[:count - 1], 1):
-        match = _CACHE_LINE.fullmatch(line)
-        parent = int(match[1]) if match else i
+    fields = iter(text[start:stop].split())
+    # zip draws a parent, then its letter, from the one iterator
+    for i, (parent, ch) in enumerate(zip(map(int, fields), fields), 1):
         if parent >= i:  # a parent is an earlier record
-            raise CacheError(f"{path}: malformed cache line {line!r}")
-        ch = match[2]
+            raise CacheError(f"{path}: malformed cache line {_cache_line(parent, ch)!r}")
         step = _letter_step(steps[ch], p, q, nums[parent], dens[parent])
         if step is None:
-            raise CacheError(f"{path}: cache line {line!r} maps its parent to infinity")
+            raise CacheError(
+                f"{path}: cache line {_cache_line(parent, ch)!r} maps its parent to infinity"
+            )
         nums.append(step[0])
         dens.append(step[1])
         shifts.append(step[2])
         parents.append(parent)
         letters.append(ch)
+    if well_formed < count - 1:
+        raise CacheError(f"{path}: malformed cache line {rest[0]!r}")
     return BfsResult(g.u2, g.two_t, depth, budget, truncated, nums, dens, parents, letters,
                      shifts)
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import fricke
-from fricke.cli import main
+from fricke.cli import EXIT_STDOUT_CLOSED, main
 from fricke.congruence import MISS_SCAN_MAX_LEVEL
 from fricke.obstruct import MINER_MAX_PRIMES
 from fricke.orbitsearch import PADIC_MAX_MODULUS_BITS, SPECIAL_SCAN_MAX_LEN
@@ -429,6 +429,62 @@ def test_the_cli_loads_every_traced_function_but_not_the_decider():
     unresolved, decider_loaded = proc.stdout.splitlines()
     assert json.loads(unresolved) == []
     assert decider_loaded == "False"
+
+
+# every command builds a group, so these layers execute in every query
+EAGER_LAYERS = {"fricke", "fricke.cli", "fricke.errors", "fricke.exactnum", "fricke.groups",
+                "fricke.words"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ([], set()),
+    (["probe", "adelic", "--u2", "1", "--twot", "6", "--x", "1/3", "--m", "9", "--depth", "4"],
+     {"orbitsearch"}),
+    (["scan", "congruence", "--u2", "1/4", "--twot", "4", "--flavor", "gamma", "--N", "2",
+      "--depth", "4"], {"congruence", "orbitsearch"}),
+    (["classify", "--u2", "1/4", "--twot", "4", "--special-budget", "2"],
+     {"obstruct", "predicates", "orbitsearch"}),
+    (["scan", "special", "--u2", "6/11", "--twot", "6", "--maxlen", "3"], {"orbitsearch"}),
+    (["scan", "mine", "--u2", "1/15", "--twot", "8", "--primes", "3,5"],
+     {"obstruct", "predicates", "invariance"}),
+], ids=["import-only", "probe", "scan-congruence", "classify", "scan-special", "scan-mine"])
+def test_each_command_executes_only_the_layers_it_uses(argv, layers):
+    # a lazily registered module is in sys.modules under another type until
+    # its code runs, and asking its type does not run it
+    code = (
+        "import contextlib, io, json, sys, types\n"
+        "import fricke.cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert fricke.cli.main(argv) == 0\n"
+        "print(json.dumps(sorted(m for m, mod in sys.modules.items()\n"
+        "                        if m.startswith('fricke') and type(mod) is types.ModuleType)))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fricke'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
+    proc = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    executed, registered = map(json.loads, proc.stdout.splitlines())
+    assert set(executed) == EAGER_LAYERS | {f"fricke.{m}" for m in layers}
+    assert {"fricke.obstruct", "fricke.orbitsearch", "fricke.congruence"} <= set(registered)
+
+
+@pytest.mark.parametrize("fmt, first", [("human", "group (6/11, 6)\n"), ("structured", "{\n")])
+def test_a_reader_closing_stdout_early_gets_no_traceback(fmt, first):
+    # the report lists 24,064 unhit labels, some 500 kB, far more than
+    # a pipe holds, so writing it fails once the reader has gone
+    argv = [sys.executable, "-m", "fricke.cli", "scan", "congruence", "--u2", "6/11",
+            "--twot", "6", "--flavor", "gamma", "--N", "256", "--depth", "1", "--format", fmt]
+    env = dict(os.environ, PYTHONPATH=_source_pythonpath())
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+    assert proc.stdout.readline() == first
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_STDOUT_CLOSED
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 LEVEL_CAP = f"must be at most {MISS_SCAN_MAX_LEVEL}"

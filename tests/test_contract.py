@@ -85,6 +85,12 @@ def _command(words, flags):
         lambda values: [*words, *(f"--{k}={v}" for k, v in values.items())])
 
 
+def _negative_word(words, flag, flags):
+    """A command whose flag takes a negative rational as a separate word, "--m -3/4"."""
+    return st.tuples(_command(words, flags), st.integers(1, 30), st.integers(1, 30)).map(
+        lambda c: [*c[0], flag, f"-{c[1]}/{c[2]}"])
+
+
 COMMANDS = st.one_of(
     _command(["classify"], {"special-budget": COUNT}),
     _command(["probe", "adelic"], {"x": RATIONAL, "m": RATIONAL, "depth": COUNT, "budget": BUDGET}),
@@ -95,6 +101,9 @@ COMMANDS = st.one_of(
               "depth": COUNT, "budget": BUDGET}),
     _command(["scan", "special"], {"maxlen": COUNT}),
     _command(["scan", "mine"], {"primes": PRIMES, "depth": COUNT, "seeds": SEEDS}),
+    _negative_word(["probe", "adelic"], "--m", {"x": RATIONAL, "depth": COUNT, "budget": BUDGET}),
+    _negative_word(["probe", "padic"], "--y",
+                   {"targets": TARGETS, "depth": COUNT, "budget": BUDGET}),
 )
 
 
@@ -111,6 +120,7 @@ def test_cli_ends_in_an_exit_code_without_a_traceback(argv):
     assert time.monotonic() - started < CALL_SECONDS, argv
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    assert "expected one argument" not in err.getvalue(), argv  # a value read as an option
 
 
 @st.composite

@@ -371,6 +371,70 @@ def test_bfs_cache_step_back_to_infinity_is_an_error(tmp_path):
         load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
 
 
+
+def test_bfs_cache_malformed_line_right_after_the_header_is_an_error(tmp_path):
+    path, lines = _cached_lines(tmp_path)
+    lines[1] = "0\tA \n"
+    path.write_text("".join(lines))
+    with pytest.raises(CacheError, match=r"malformed cache line '0\\tA '"):
+        load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+
+
+def test_bfs_cache_last_line_cut_off_is_an_error(tmp_path):
+    # a crash mid-append can leave the last record line without its newline
+    path, lines = _cached_lines(tmp_path)
+    last = lines[-1]
+    for cut in (last[:-1], last[:-2], last[:1]):
+        path.write_text("".join(lines[:-1]) + cut)
+        with pytest.raises(CacheError, match="holds fewer than 19 records"):
+            load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+
+
+def test_bfs_cache_record_line_in_place_of_the_next_header_is_an_error(tmp_path):
+    path, lines = _cached_lines(tmp_path)
+    other = tmp_path / "other.cache"
+    cusp_bfs(FLAGSHIP, 1, cache_path=str(other))
+    # one record line more than records= says, at the end of the file and
+    # in front of the next block
+    for tail in ("0\tA\n", "0\tA\n" + other.read_text()):
+        path.write_text("".join(lines) + tail)
+        with pytest.raises(CacheError, match="does not end after 19 records"):
+            load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
+    # the next block itself still loads
+    assert load_cached_bfs(str(path), FLAGSHIP, 1, DEFAULT_NODE_BUDGET) == cusp_bfs(FLAGSHIP, 1)
+
+
+def test_bfs_cache_one_record_block_at_the_end_of_the_file(tmp_path):
+    path, _ = _cached_lines(tmp_path)
+    root = cusp_bfs(FLAGSHIP, 0, cache_path=str(path))
+    text = path.read_text()
+    assert text.endswith(f"depth=0 budget={DEFAULT_NODE_BUDGET} truncated=0 records=1\n")
+    assert load_cached_bfs(str(path), FLAGSHIP, 0, DEFAULT_NODE_BUDGET) == root
+    assert load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET) == cusp_bfs(FLAGSHIP, 2)
+    path.write_text(text + "0\tA\n")
+    with pytest.raises(CacheError, match="does not end after 1 records"):
+        load_cached_bfs(str(path), FLAGSHIP, 0, DEFAULT_NODE_BUDGET)
+
+
+def test_bfs_cache_load_equals_compute_on_the_orbit_workload_runs(tmp_path):
+    # (u2, 2t, depth, budget) of the benchmark's orbit queries, and a run
+    # with a fractional translation; one file holds every block
+    runs = [
+        (Fraction(6, 11), 6, 14, 20_000),
+        (Fraction(1, 4), 4, 12, 20_000),
+        (1, 6, 8, DEFAULT_NODE_BUDGET),
+        (Fraction(1, 4), 4, 10, 20_000),
+        (Fraction(6, 11), 6, 7, DEFAULT_NODE_BUDGET),
+        (Fraction(1, 4), Fraction(9, 2), 7, DEFAULT_NODE_BUDGET),
+    ]
+    path = str(tmp_path / "orbits.cache")
+    computed = [cusp_bfs(make_group(u2, two_t), depth, budget, cache_path=path)
+                for u2, two_t, depth, budget in runs]
+    for (u2, two_t, depth, budget), want in zip(runs, computed):
+        loaded = load_cached_bfs(path, make_group(u2, two_t), depth, budget)
+        assert loaded is not want and loaded == want
+
+
 # ---------------------------------------------------------------- cusp_test
 
 def test_cusp_test_known_cusp():
