@@ -21,6 +21,7 @@ from .errors import ParameterError
 from .exactnum import residue_mod_pk, vp_pair
 from .groups import FrickeGroup, ProjMatrix
 from .predicates import And, Not, Or, Predicate, ResAtom, ValAtom, Xor, compile_predicate
+from .words import LETTERS
 
 MAX_DECIDED_ATOMS = 8      # a decision builds a truth table of 2^atoms bits
 # The ball walk at a prime visits about p^k balls per level down to a cut
@@ -112,7 +113,7 @@ class SetDecider:
     """
 
     def __init__(self, g: FrickeGroup, atoms: Iterable[Predicate]):
-        self.mats = [g.letter_matrix(ch) for ch in "AaBb"]
+        self.mats = [g.letter_matrix(ch) for ch in LETTERS]
         self.shape: dict[int, tuple[int, int]] = {}
         for atom in atoms:
             top, k = self.shape.get(atom.p, (1, 0))

@@ -43,7 +43,7 @@ from .predicates import (
     compile_predicate,
     exactly_one_negative,
 )
-from .words import Word
+from .words import LETTERS, Word
 
 SAMPLE_BOUND = 10 ** 4      # numerators in [-B, B], denominators in [1, B]
 _RETRY_LIMIT = 10 ** 5      # consecutive rejected draws before giving up
@@ -274,7 +274,7 @@ def verify_invariance(
     if bound < 1:
         raise ParameterError(f"sample bound must be >= 1, got {bound}")
     test = compile_predicate(pred)
-    mats = [(ch, *g.letter_matrix(ch)) for ch in "AaBb"]
+    mats = [(ch, *g.letter_matrix(ch)) for ch in LETTERS]
     getrandbits = random.Random(seed).getrandbits
     wn, wd = 2 * bound + 1, bound
     kn, kd = wn.bit_length(), wd.bit_length()

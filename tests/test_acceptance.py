@@ -323,10 +323,13 @@ def test_criterion_07_miss_scan_evidence():
         nonempty = len(report.unhit) > 0
         stable = set(report.unhit) == set(deeper.unhit)
         exact = set(report.unhit) == missed == set(deeper.unhit)
+        # a run cut at the record budget stops short of its depth, so the
+        # line says which of the two compared runs was cut
         details.append(
             f"j={j}: unhit {len(report.unhit)}/{len(report.hit) + len(report.unhit)}"
-            f" at depth {cfg['depth']}, {len(deeper.unhit)} at depth "
-            f"{cfg['stability_depth']}, {len(missed)} provably missed"
+            f" at depth {cfg['depth']} (truncated {report.truncated}),"
+            f" {len(deeper.unhit)} at depth {cfg['stability_depth']}"
+            f" (truncated {deeper.truncated}), {len(missed)} provably missed"
         )
         if not (nonempty and stable and exact):
             ok = False

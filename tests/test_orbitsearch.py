@@ -1,3 +1,4 @@
+import builtins
 import random
 import time
 from fractions import Fraction
@@ -812,6 +813,18 @@ def test_probe_determinism():
     r1 = padic_probe(FLAGSHIP, Fraction(1, 4), [(7, 3)], depth=6)
     r2 = padic_probe(FLAGSHIP, Fraction(1, 4), [(7, 3)], depth=6)
     assert r1 == r2
+
+
+def test_probes_reject_a_hit_the_recheck_refutes(monkeypatch):
+    # one too high an inverse mod d'/h moves the offset k by b/h mod d'/h,
+    # which is nonzero whenever the true offset is, as in both cases here
+    monkeypatch.setattr(
+        orbitsearch, "pow", lambda a, e, n: builtins.pow(a, e, n) + 1, raising=False
+    )
+    with pytest.raises(InternalCheckError, match="^probe produced an unverified hit$"):
+        adelic_probe(MODSUB, Fraction(1, 3), 9, depth=8)
+    with pytest.raises(InternalCheckError, match="^probe produced an unverified hit$"):
+        padic_probe(FLAGSHIP, Fraction(1, 4), [(7, 3)], depth=6)
 
 
 # ---------------------------------------------------------------- fractional 2t
