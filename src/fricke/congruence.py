@@ -45,6 +45,31 @@ GAMMA0_KEYS_MAX_LEVEL = 10 ** 5
 # P1(Z/N): canonical representatives
 # ---------------------------------------------------------------------------
 
+def _chart(a: int, c: int, n: int) -> tuple[int, int]:
+    """Chart (g, e) of the point (a : c) of P1(Z/n): g = gcd(a, n) and
+    e = c*(a/g)^-1 mod n/g, for a, c taken mod n with gcd(a, c, n) = 1.
+
+    (a : c) = (g : x) exactly for the x = e mod n/g with gcd(x, g) = 1. The
+    units u with u*a = g mod n are the unit lifts of (a/g)^-1 mod n/g, which
+    exist; each has u*c = e mod n/g and gcd(u*c, g) = gcd(a, c, n) = 1.
+    Conversely, fix one such u, y = u*c and such an x. For p^k || n let t = 1
+    mod p^k if p does not divide g (then p^k | n/g, so x = y mod p^k), else
+    t = x/y mod p^k (x, y are prime to g), which is 1 mod the p-part of n/g.
+    By CRT t is a unit mod n with t*g = g and t*y = x: t*u takes (a : c) to (g : x).
+    """
+    a, c = a % n, c % n
+    if gcd(a, c, n) != 1:
+        raise ParameterError(f"({a} : {c}) is not primitive mod {n}")
+    g = gcd(a, n)
+    return g, c * pow(a // g, -1, n // g) % (n // g)
+
+
+def _least_point(g: int, e: int, n: int) -> tuple[int, int]:
+    """The least pair of the point with chart (g, e): all its first coordinates
+    have gcd g with n, and by _chart its pairs (g, x) are those of the x."""
+    return g % n, next(x for x in range(e, n, n // g) if gcd(x, g) == 1)
+
+
 def p1_reduce(a: int, c: int, n: int) -> tuple[int, int]:
     """Canonical representative of the point (a : c) of P1(Z/n).
 
@@ -53,40 +78,14 @@ def p1_reduce(a: int, c: int, n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise ParameterError(f"level must be >= 1, got {n}")
-    if n == 1:
-        return (0, 0)
-    a %= n
-    c %= n
-    if gcd(gcd(a, c), n) != 1:
-        raise ParameterError(f"({a} : {c}) is not primitive mod {n}")
-    if a == 0:
-        return (0, 1)
-    # each lift s of (a/g)^-1 mod n/g has s*a = g (mod n); one of them is a unit
-    g = gcd(a, n)
-    s = pow(a // g, -1, n // g)
-    while gcd(s, n) != 1:
-        s += n // g
-    c = s * c % n
-    if g == 1:
-        return (1, c)
-    c = min((c * t) % n for t in range(1, n, n // g) if gcd(n, t) == 1)
-    return (g, c)
+    return _least_point(*_chart(a, c, n), n)
 
 
 def p1_points(n: int) -> list[tuple[int, int]]:
-    """All canonical representatives of P1(Z/n), sorted.
-
-    Canonical representatives have first coordinate dividing n, so it is
-    enough to canonicalize the pairs (g, v) over divisors g.
-    """
-    if n == 1:
-        return [(0, 0)]
-    pts = set()
-    for g in _divisors(n):
-        for v in range(n):
-            if gcd(gcd(g, v), n) == 1:
-                pts.add(p1_reduce(g, v, n))
-    return sorted(pts)
+    """All canonical representatives of P1(Z/n), sorted: one per chart (g, e),
+    g | n and e mod n/g prime to gcd(g, n/g), the e that some x prime to g lifts."""
+    return sorted(_least_point(g, e, n) for g in _divisors(n)
+                  for e in range(n // g) if gcd(e, g, n // g) == 1)
 
 
 def _divisors(n: int) -> list[int]:
@@ -128,36 +127,30 @@ def gamma_label(x: ProjPoint, n: int) -> OrbitLabel:
     return label_of_pair(GAMMA, *reduce_point(*x), n)
 
 
-def _gamma0_key(a: int, c: int, n: int) -> tuple[int, int]:
-    """Least P1(Z/n) point of the orbit of the primitive (a : c) under the
-    matrices [[u, 0], [x, 1/u]] mod n.
+def _gamma0_key(g: int, e: int, n: int) -> tuple[int, int]:
+    """Least P1(Z/n) point of the orbit of the point with chart (g, e) under
+    the matrices [[u, 0], [x, 1/u]] mod n.
 
-    Let g = gcd(a, n) and h = gcd(g, n/g). Scaling by a unit congruent to
-    (a/g)^-1 mod n/g gives (g : e) with e = c*(a/g)^-1, so e mod h is well
-    defined. The matrix takes (g : e) to (ug : xg + e/u), and rescaling by mu
-    with mu*u = 1 mod n/g gives (g : mu*x*g + mu^2 * (mu*u)^-1 * e): as h | g,
-    the square class of e mod h is kept. Since x, mu and the scalings
-    t = 1 mod n/g are free, the orbit is every (g : e') with gcd(e', g) = 1
-    and e' = e*s^2 mod h for a unit s, by CRT through lcm(g, n/g). Its least
-    point is (g mod n, least such e' in [0, n)); g = n gives (0, 1).
+    Let h = gcd(g, n/g), which divides n/g, and lift e prime to g. The matrix
+    takes (g : e) to (ug : xg + e/u), and rescaling by mu with mu*u = 1 mod n/g
+    gives (g : mu*x*g + mu^2 * (mu*u)^-1 * e): as h | g, the square class of
+    e mod h is kept. As x and mu are free, by _chart and CRT through
+    lcm(g, n/g) the orbit is every (g : e') with gcd(e', g) = 1 and
+    e' = e*s^2 mod h for a unit s. Its least point is (g mod n, least such e').
     """
-    a, c = a % n, c % n
-    if gcd(a, c, n) != 1:
-        raise ParameterError(f"({a} : {c}) is not primitive mod {n}")
-    g = gcd(a, n)
     h = gcd(g, n // g)
-    r = c * pow(a // g, -1, h)
-    square_class = {r * s * s % h for s in range(h) if gcd(s, h) == 1}
-    return (g % n, next(e for e in range(n) if e % h in square_class and gcd(e, g) == 1))
+    square_class = {e * s * s % h for s in range(h) if gcd(s, h) == 1}
+    return (g % n, next(x for x in range(n) if x % h in square_class and gcd(x, g) == 1))
 
 
 @cache
 def _gamma0_index(n: int) -> dict[tuple[int, int], int]:
     """The sorted gamma0 keys at level n, each mapped to its orbit# index. The
-    key of (g : e) depends on e only mod gcd(g, n/g), a divisor of g, so e < g suffice."""
+    key of the chart (g, e) depends on e only mod gcd(g, n/g), so e < gcd(g, n/g) suffice."""
     if n > GAMMA0_KEYS_MAX_LEVEL:
         raise ParameterError(f"gamma0 keys are listed up to level {GAMMA0_KEYS_MAX_LEVEL}, got {n}")
-    keys = {_gamma0_key(g, e, n) for g in _divisors(n) for e in range(g) if gcd(g, e, n) == 1}
+    keys = {_gamma0_key(g, e, n) for g in _divisors(n)
+            for e in range(gcd(g, n // g)) if gcd(e, g, n // g) == 1}
     return {key: i for i, key in enumerate(sorted(keys))}
 
 
@@ -170,12 +163,9 @@ def enumerate_labels(flavor: str, n: int) -> list[OrbitLabel]:
     """The complete, sorted set of labels at one level."""
     _require_level(n)
     if flavor == GAMMA:
-        return sorted({
-            label_of_pair(GAMMA, a, c, n)
-            for a in range(n)
-            for c in range(n)
-            if gcd(gcd(a, c), n) == 1
-        })
+        # (a, c) is the least of +-(a, c) when 2a < n, or when a = -a and 2c <= n
+        return [OrbitLabel(GAMMA, n, (a, c)) for a in range(n // 2 + 1)
+                for c in range(n if 0 < 2 * a < n else n // 2 + 1) if gcd(a, c, n) == 1]
     if flavor == GAMMA0:
         return [OrbitLabel(GAMMA0, n, k) for k in _gamma0_index(n)]
     raise ParameterError(f"unknown flavor {flavor!r}; use 'gamma' or 'gamma0'")
@@ -193,7 +183,7 @@ def label_of_pair(flavor: str, num: int, den: int, n: int) -> OrbitLabel:
             raise ParameterError(
                 f"gamma0 labels are computed up to level {GAMMA0_KEYS_MAX_LEVEL}, got {n}"
             )
-        return OrbitLabel(GAMMA0, n, _gamma0_key(num, den, n))
+        return OrbitLabel(GAMMA0, n, _gamma0_key(*_chart(num, den, n), n))
     raise ParameterError(f"unknown flavor {flavor!r}; use 'gamma' or 'gamma0'")
 
 
