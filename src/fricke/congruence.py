@@ -26,19 +26,20 @@ from .orbitsearch import DEFAULT_NODE_BUDGET, cusp_bfs
 GAMMA = "gamma"
 GAMMA0 = "gamma0"
 
-# Largest level n**j that miss_scan accepts. On a 2-core machine at depth 8,
-# gamma takes 3.0 s at level 256 on (6/11, 6), 9.7 s at 500 and 19 s at 800
-# (enumerate_labels is quadratic in the level); gamma0 takes 0.6 s at 6400 on
-# (1/4, 4) with the level and step caps lifted.
+# Largest level n**j that miss_scan accepts, and whose gamma labels enumerate_labels
+# lists (quadratic in the level: 0.015 s at 256, 0.42 s and 82 MB peak RSS at 1024).
+# On 2 cores at depth 8, gamma takes 3.0 s at level 256 on (6/11, 6), 9.7 s at 500
+# and 19 s at 800; gamma0 takes 0.6 s at 6400 on (1/4, 4) with the caps lifted.
 MISS_SCAN_MAX_LEVEL = 256
 # Most translate steps, BFS records x period, that miss_scan labels. Gamma at
 # level 256 on (6/11, 6), period 128, takes 1.9 s at depth 8 (2.8M steps),
 # 7.2 s at depth 9 (9.1M) and 21 s at depth 10 (29M) on 2 cores.
 MISS_SCAN_MAX_STEPS = 4_000_000
-# Largest level whose gamma0 keys are enumerated (enumerate_labels, str()) or
-# computed (label_of_pair). On 2 cores str() takes at most about 0.5 s up to
-# 10^5 (95040), 6 s at 10^6; a key costs gcd(g, n/g) steps, up to sqrt(n):
-# (10^7 : 1) takes 0.18 s at level 10^12 and 2.5 s at 10^14.
+# Largest level whose P1 points (p1_points) and gamma0 keys (enumerate_labels,
+# str()) are listed, or whose gamma0 keys are computed (label_of_pair). On 2
+# cores p1_points takes 0.30 s at 95040 and 2.8 s at 720720; listing the keys
+# takes 0.003 s at 10^5. A key builds a square-class set of size gcd(g, n/g),
+# up to sqrt(n): (10^7 : 1) takes 0.016 s at level 10^12 and 2.8 s at 10^14.
 GAMMA0_KEYS_MAX_LEVEL = 10 ** 5
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,10 @@ def p1_reduce(a: int, c: int, n: int) -> tuple[int, int]:
 def p1_points(n: int) -> list[tuple[int, int]]:
     """All canonical representatives of P1(Z/n), sorted: one per chart (g, e),
     g | n and e mod n/g prime to gcd(g, n/g), the e that some x prime to g lifts."""
+    if n < 1:
+        raise ParameterError(f"level must be >= 1, got {n}")
+    if n > GAMMA0_KEYS_MAX_LEVEL:
+        raise ParameterError(f"P1 points are listed up to level {GAMMA0_KEYS_MAX_LEVEL}, got {n}")
     return sorted(_least_point(g, e, n) for g in _divisors(n)
                   for e in range(n // g) if gcd(e, g, n // g) == 1)
 
@@ -163,6 +168,9 @@ def enumerate_labels(flavor: str, n: int) -> list[OrbitLabel]:
     """The complete, sorted set of labels at one level."""
     _require_level(n)
     if flavor == GAMMA:
+        if n > MISS_SCAN_MAX_LEVEL:
+            raise ParameterError(
+                f"gamma labels are listed up to level {MISS_SCAN_MAX_LEVEL}, got {n}")
         # (a, c) is the least of +-(a, c) when 2a < n, or when a = -a and 2c <= n
         return [OrbitLabel(GAMMA, n, (a, c)) for a in range(n // 2 + 1)
                 for c in range(n if 0 < 2 * a < n else n // 2 + 1) if gcd(a, c, n) == 1]
@@ -175,6 +183,8 @@ def label_of_pair(flavor: str, num: int, den: int, n: int) -> OrbitLabel:
     """Label of the point (num : den) of P1(Q) in lowest terms at level n."""
     _require_level(n)
     if flavor == GAMMA:
+        if gcd(num, den) != 1:
+            raise ParameterError(f"({num} : {den}) is not in lowest terms")
         pair = (num % n, den % n)
         neg = ((-num) % n, (-den) % n)
         return OrbitLabel(GAMMA, n, min(pair, neg))

@@ -39,17 +39,18 @@ def _brute_reduce(a, c, n):
     )
 
 
-# at 6, 12, 20, 28, 33, 45, 60, 63 and 100 some first inverse is no unit
-# mod n, and p1_reduce has to step to another lift
-@pytest.mark.parametrize(
-    "n", [2, 3, 4, 5, 6, 8, 9, 12, 16, 20, 27, 28, 33, 45, 60, 63, 100]
-)
+# p1_reduce and p1_points share _chart with the gamma0 keys, and the gamma0
+# orbit oracle below canonicalizes with both, so both are pinned by brute force
+@pytest.mark.parametrize("n", [*range(2, 65), 100])
 def test_p1_reduce_matches_brute_force(n):
+    points = set()
     for a in range(n):
         for c in range(n):
             if gcd(gcd(a, c), n) != 1:
                 continue
             assert p1_reduce(a, c, n) == _brute_reduce(a, c, n)
+            points.add(_brute_reduce(a, c, n))
+    assert p1_points(n) == sorted(points)
 
 
 @pytest.mark.parametrize(
@@ -65,7 +66,32 @@ def test_p1_reduce_rejects_imprimitive():
         p1_reduce(2, 4, 8)
 
 
+def test_listings_refuse_levels_outside_their_caps():
+    assert p1_points(1) == [p1_reduce(5, 7, 1)] == [(0, 0)]
+    for n in (0, -1):
+        for call in (lambda: p1_points(n), lambda: p1_reduce(1, 0, n)):
+            with pytest.raises(ParameterError, match=f"^level must be >= 1, got {n}$"):
+                call()
+    cap = congruence.GAMMA0_KEYS_MAX_LEVEL
+    assert len(p1_points(cap)) == 180_000  # 10^5 * (1 + 1/2) * (1 + 1/5)
+    with pytest.raises(ParameterError, match=f"^P1 points are listed up to level {cap}, got "):
+        p1_points(cap + 1)
+    assert len(enumerate_labels(GAMMA, MISS_SCAN_MAX_LEVEL)) == 256 ** 2 * 3 // 8
+    for n in (MISS_SCAN_MAX_LEVEL + 1, 10 ** 30):
+        refusal = f"^gamma labels are listed up to level {MISS_SCAN_MAX_LEVEL}, got {n}$"
+        with pytest.raises(ParameterError, match=refusal):
+            enumerate_labels(GAMMA, n)
+
+
 # ---------------------------------------------------------------- gamma labels
+
+def test_gamma_label_refuses_pairs_not_in_lowest_terms():
+    # (2 : 4) is (1 : 2), labelled (1,2) mod 5; (5 : 10) has no listed label
+    assert label_of_pair(GAMMA, 1, 2, 5).key == (1, 2)
+    for num, den in ((2, 4), (5, 10), (-3, 6), (2, 0), (0, 0)):
+        with pytest.raises(ParameterError, match=rf"^\({num} : {den}\) is not in lowest terms$"):
+            label_of_pair(GAMMA, num, den, 5)
+
 
 def test_gamma_label_examples():
     assert gamma_label(point_of(Fraction(1, 4)), 5).key == (1, 4)
@@ -266,13 +292,11 @@ def test_enumerate_gamma_counts():
 
 
 def test_enumerate_gamma_against_independent_bruteforce():
-    for n in (2, 3, 4, 5, 6, 33):
-        classes = set()
-        for a in range(n):
-            for c in range(n):
-                if gcd(gcd(a, c), n) == 1:
-                    classes.add(frozenset({(a, c), ((-a) % n, (-c) % n)}))
-        assert len(enumerate_labels(GAMMA, n)) == len(classes)
+    # oracle: the least of +-(a, c) over every primitive pair, as a set, sorted
+    for n in range(2, 121):
+        keys = sorted({min((a, c), ((-a) % n, (-c) % n))
+                       for a in range(n) for c in range(n) if gcd(a, c, n) == 1})
+        assert enumerate_labels(GAMMA, n) == [OrbitLabel(GAMMA, n, key) for key in keys]
 
 
 def test_enumerate_gamma_level2_keys():

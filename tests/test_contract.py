@@ -6,7 +6,8 @@ parses back to itself, evaluates alike through eval_predicate and its
 compiled form, and is decided by decide_set or refused with a
 ParameterError; and and or refuse an empty list of parts. Every generated
 orbit label is computed and printed, or refused with a ParameterError,
-within CALL_SECONDS. The source guard keeps src/fricke free of floats and
+within CALL_SECONDS, and so is every generated P1(Z/N) reduction and listing
+of the P1(Z/N) points or the labels at one level. The source guard keeps src/fricke free of floats and
 of imports from outside the standard library.
 """
 
@@ -16,14 +17,13 @@ import io
 import sys
 import time
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fricke.cli import main
-from fricke.congruence import label_of_pair
+from fricke.congruence import enumerate_labels, label_of_pair, p1_points, p1_reduce
 from fricke.errors import ParameterError
 from fricke.groups import make_group
 from fricke.invariance import decide_set
@@ -189,7 +189,6 @@ def test_decide_set_decides_or_refuses(pred, g):
              [-1, 0, 95_040, 10 ** 5, 10 ** 5 + 1, 720_720, 10 ** 6, 10 ** 30]))
 @example("gamma0", 10 ** 7, 1, 10 ** 14)
 def test_labels_are_computed_or_refused(flavor, num, den, n):
-    assume(gcd(num, den) == 1)
     started = time.monotonic()
     try:
         label = label_of_pair(flavor, num, den, n)
@@ -198,6 +197,14 @@ def test_labels_are_computed_or_refused(flavor, num, den, n):
     except ParameterError:
         pass
     assert time.monotonic() - started < CALL_SECONDS, (flavor, num, den, n)
+    for call, args in ((p1_reduce, (num, den, n)), (p1_points, (n,)),
+                       (enumerate_labels, (flavor, n))):
+        started = time.monotonic()
+        try:
+            call(*args)
+        except ParameterError:
+            pass
+        assert time.monotonic() - started < CALL_SECONDS, (call.__name__, args)
 
 
 def test_package_source_is_float_free_and_stdlib_only():
