@@ -66,8 +66,8 @@ def _chart(a: int, c: int, n: int) -> tuple[int, int]:
 
 
 def _least_point(g: int, e: int, n: int) -> tuple[int, int]:
-    """The least pair of the point with chart (g, e): all its first coordinates
-    have gcd g with n, and by _chart its pairs (g, x) are those of the x."""
+    """Least pair of the point with chart (g, e): its first coordinates all have
+    gcd g with n, and its pairs with first coordinate g are the (g, x) of _chart."""
     return g % n, next(x for x in range(e, n, n // g) if gcd(x, g) == 1)
 
 
@@ -171,7 +171,7 @@ def enumerate_labels(flavor: str, n: int) -> list[OrbitLabel]:
         if n > MISS_SCAN_MAX_LEVEL:
             raise ParameterError(
                 f"gamma labels are listed up to level {MISS_SCAN_MAX_LEVEL}, got {n}")
-        # (a, c) is the least of +-(a, c) when 2a < n, or when a = -a and 2c <= n
+        # (a, c) is the least of +-(a, c) when 0 < 2a < n, or when a = -a and 2c <= n
         return [OrbitLabel(GAMMA, n, (a, c)) for a in range(n // 2 + 1)
                 for c in range(n if 0 < 2 * a < n else n // 2 + 1) if gcd(a, c, n) == 1]
     if flavor == GAMMA0:

@@ -7,8 +7,8 @@ compiled form, and is decided by decide_set or refused with a
 ParameterError; and and or refuse an empty list of parts. Every generated
 orbit label is computed and printed, or refused with a ParameterError,
 within CALL_SECONDS, and so is every generated P1(Z/N) reduction and listing
-of the P1(Z/N) points or the labels at one level. The source guard keeps src/fricke free of floats and
-of imports from outside the standard library.
+of the P1(Z/N) points or the labels at one level. The source guard keeps
+src/fricke free of floats and of imports from outside the standard library.
 """
 
 import ast
