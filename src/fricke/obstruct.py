@@ -86,24 +86,33 @@ class Witness(NamedTuple):
 
 
 def recheck_witness(g: FrickeGroup, w: Witness) -> bool:
-    """Re-derive the certified facts of a witness from scratch."""
-    if w.kind == SQUARE_OBSTRUCTION:
-        return check_square_obstruction(g, w.primes[0]) is not None
-    if w.kind == TWO_PRIME_OBSTRUCTION:
-        from .invariance import decide_set  # loaded only where a set is decided
+    """Re-derive the certified facts of a witness from scratch.
 
-        pred = exactly_one_negative(*w.primes) if w.predicate is None else w.predicate
-        return check_two_prime_obstruction(g, *w.primes) is not None and all(decide_set(pred, g))
-    if w.kind == INTEGER_T_VIOLATION:
-        report = check_integer_t_conditions(g)
-        return report.applicable and any(v.clause == w.clause for v in report.witnesses)
+    A criterion witness rechecks when the criteria over relevant_primes(g)
+    derive one of the same kind, primes, clause and branch (detail and
+    predicate are not compared), and a two-prime witness's set, or the
+    clause's own, is proven invariant, nonempty and proper. A special point
+    rechecks when its word is hyperbolic and fixes its point. A witness
+    without the primes, word or point of its kind raises ParameterError.
+    """
     if w.kind == SPECIAL_POINT:
+        if not isinstance(w.word, str) or not isinstance(w.point, ProjPoint) or w.point == (0, 0):
+            raise ParameterError("a special point witness needs a word and a point of P1(Q)")
         m = word_matrix(g, w.word)
-        return (
-            classify_element(m) is ElementClass.HYPERBOLIC
-            and apply(m, w.point) == w.point
-        )
-    raise ParameterError(f"unknown witness kind {w.kind!r}")
+        return classify_element(m) is ElementClass.HYPERBOLIC and apply(m, w.point) == w.point
+    primes = tuple(w.primes)
+    arity = {SQUARE_OBSTRUCTION: 1, TWO_PRIME_OBSTRUCTION: 2, INTEGER_T_VIOLATION: len(primes)}
+    if arity.get(w.kind) != len(primes):
+        raise ParameterError(f"malformed witness of kind {w.kind!r} with primes {primes}")
+    derived = [(v.kind, v.primes, v.clause, v.branch) for v in _criterion_witnesses(g)]
+    if (w.kind, primes, w.clause, w.branch) not in derived:
+        return False
+    if w.kind != TWO_PRIME_OBSTRUCTION:
+        return True
+    from .invariance import decide_set  # loaded only where a set is decided
+
+    pred = exactly_one_negative(*primes) if w.predicate is None else w.predicate
+    return all(decide_set(pred, g))
 
 
 # ---------------------------------------------------------------------------
@@ -253,29 +262,22 @@ class InvarianceResult(NamedTuple):
         return self.passed
 
 
-def verify_invariance(
-    pred: Predicate,
-    g: FrickeGroup,
-    n: int,
-    seed: int,
-    bound: int = SAMPLE_BOUND,
-) -> InvarianceResult:
+def verify_invariance(pred: Predicate, g: FrickeGroup, n: int, seed: int) -> InvarianceResult:
     """Sample n rationals in the set and check all four generator letters.
 
-    A sample is a numerator in [-bound, bound] over a denominator in
-    [1, bound], reduced, redrawn until it lies in the set. The draws are
-    random.Random(seed).randint's: getrandbits(w.bit_length()) until it is
-    below the width w. An image equal to 0 or infinity counts as a
+    A sample is a numerator in [-B, B] over a denominator in [1, B], with
+    B = SAMPLE_BOUND, reduced, redrawn until it lies in the set. The draws
+    are random.Random(seed).randint's: getrandbits(w.bit_length()) until it
+    is below the width w. An image equal to 0 or infinity counts as a
     counterexample, since the sets under study live inside the nonzero
     rationals.
     """
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
-    if bound < 1:
-        raise ParameterError(f"sample bound must be >= 1, got {bound}")
     test = compile_predicate(pred)
     mats = [(ch, *g.letter_matrix(ch)) for ch in LETTERS]
     getrandbits = random.Random(seed).getrandbits
+    bound = SAMPLE_BOUND  # read at call time
     wn, wd = 2 * bound + 1, bound
     kn, kd = wn.bit_length(), wd.bit_length()
     for i in range(n):
@@ -443,6 +445,14 @@ def relevant_primes(g: FrickeGroup) -> list[int]:
     return sorted(primes)
 
 
+def _criterion_witnesses(g: FrickeGroup) -> list[Witness]:
+    """The square, two-prime and integer-t witnesses over relevant_primes(g)."""
+    primes = relevant_primes(g)
+    found = [check_square_obstruction(g, p) for p in primes]
+    found += [check_two_prime_obstruction(g, p, q) for p, q in itertools.combinations(primes, 2)]
+    return [w for w in found if w is not None] + list(check_integer_t_conditions(g).witnesses)
+
+
 def classify(g: FrickeGroup, special_budget: int) -> Verdict:
     """Run every obstruction criterion, the density criterion, the trace
     screen on the generators AA and BB (which decides it for every kernel
@@ -452,19 +462,7 @@ def classify(g: FrickeGroup, special_budget: int) -> Verdict:
 
     if special_budget < 0:
         raise ParameterError(f"special budget must be >= 0, got {special_budget}")
-    obstructions: list[Witness] = []
-    primes = relevant_primes(g)
-    for p in primes:
-        w = check_square_obstruction(g, p)
-        if w is not None:
-            obstructions.append(w)
-    for p, q in itertools.combinations(primes, 2):
-        w = check_two_prime_obstruction(g, p, q)
-        if w is not None:
-            obstructions.append(w)
-    report = check_integer_t_conditions(g)
-    obstructions.extend(report.witnesses)
-
+    obstructions = _criterion_witnesses(g)
     specials = special_point_scan(g, special_budget) if special_budget else []
     if specials:
         point, word = specials[0]

@@ -232,11 +232,14 @@ def load_cached_bfs(
 ) -> BfsResult | None:
     """Return the first cached run matching the parameters exactly, if any.
 
-    Each record is rebuilt by applying its letter to its parent, an earlier
-    record. Raises
-    CacheError when the file cannot be read as ASCII text, or when that
-    run's block is cut short, does not end where its record count says, or
-    holds a malformed line.
+    A run's block is the lines after its header up to the next line that
+    starts with "#", or the end of the file: records - 1 lines
+    "parent<TAB>letter", each record the image of its parent, an earlier
+    record, under its letter. Raises CacheError when the file is not ASCII
+    text it can read, else at the first failed check in this order: the
+    header (truncated 0 or 1, records at least 1), the line count (more
+    lines, then fewer or a last line without its newline), the line syntax,
+    and the replay (each parent earlier, no step to infinity).
     """
     if not os.path.exists(path):
         return None
@@ -255,26 +258,25 @@ def load_cached_bfs(
     header = text[pos:end]
     try:
         trunc_s, records_s = header[len(marker):].split(" records=")
-        truncated = bool(int(trunc_s))
+        truncated = bool(("0", "1").index(trunc_s))
         count = int(records_s)
+        if records_s != str(count):  # the writer prints a bare decimal count
+            raise ValueError
     except ValueError:
         raise CacheError(f"{path}: malformed cache header {header!r}") from None
     if count < 1:
         raise CacheError(f"{path}: cached run must hold at least 1 record, not {count}")
-    # count - 1 record lines, then the next header or the end of the file;
-    # a short block is named before a malformed line in it
     start = end + 1
-    stop = _CACHE_RECORDS_END.search(text, start).start()
-    well_formed = text.count("\n", start, stop)
-    if well_formed < count - 1:
-        rest = text[stop:].split("\n", count - 1 - well_formed)
-        if len(rest) < count - well_formed:
-            raise CacheError(f"{path}: cached run holds fewer than {count} records")
-        ends = rest[-1] == "" or rest[-1].startswith("#")
-    else:
-        ends = well_formed == count - 1 and (stop == len(text) or text[stop] == "#")
-    if not ends:
+    stop = text.find("\n#", end) + 1 or len(text)  # find gives -1 past the last block
+    lines = text.count("\n", start, stop)
+    if lines > count - 1:
         raise CacheError(f"{path}: cached run does not end after {count} records")
+    if lines < count - 1 or text[stop - 1] != "\n":  # text[start - 1] is the header's "\n"
+        raise CacheError(f"{path}: cached run holds fewer than {count} records")
+    bad = _CACHE_RECORDS_END.search(text, start, stop).start()
+    if bad < stop:
+        line = text[bad:text.find("\n", bad)]
+        raise CacheError(f"{path}: malformed cache line {line!r}")
     steps = {ch: tuple(g.letter_matrix(ch)) for ch in LETTERS}
     p, q = g.two_t.numerator, g.two_t.denominator
     nums, dens, parents, letters, shifts = [1], [0], [-1], [""], [0]
@@ -293,11 +295,7 @@ def load_cached_bfs(
         shifts.append(step[2])
         parents.append(parent)
         letters.append(ch)
-    if well_formed < count - 1:
-        raise CacheError(f"{path}: malformed cache line {rest[0]!r}")
-    return BfsResult(g.u2, g.two_t, depth, budget, truncated, nums, dens, parents, letters,
-                     shifts)
-
+    return BfsResult(g.u2, g.two_t, depth, budget, truncated, nums, dens, parents, letters, shifts)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,19 @@ compiled form, and is decided by decide_set or refused with a
 ParameterError; and and or refuse an empty list of parts. Every generated
 orbit label is computed and printed, or refused with a ParameterError,
 within CALL_SECONDS, and so is every generated P1(Z/N) reduction and listing
-of the P1(Z/N) points or the labels at one level. The source guard keeps
-src/fricke free of floats and of imports from outside the standard library.
+of the P1(Z/N) points or the labels at one level. A CLI query on an orbit
+cache whose matching header has a bad records= or truncated= value, or is
+cut off, ends in exit code 2 without a traceback within CALL_SECONDS.
+recheck_witness returns a bool or raises ParameterError on every generated
+witness. The source guard keeps src/fricke free of floats and of imports
+from outside the standard library.
 """
 
 import ast
 import contextlib
 import io
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -25,8 +30,18 @@ from hypothesis import example, given, settings, strategies as st
 from fricke.cli import main
 from fricke.congruence import enumerate_labels, label_of_pair, p1_points, p1_reduce
 from fricke.errors import ParameterError
+from fricke.exactnum import INFINITY, ProjPoint
 from fricke.groups import make_group
 from fricke.invariance import decide_set
+from fricke.obstruct import (
+    INTEGER_T_VIOLATION,
+    SPECIAL_POINT,
+    SQUARE_OBSTRUCTION,
+    TWO_PRIME_OBSTRUCTION,
+    Witness,
+    recheck_witness,
+)
+from fricke.orbitsearch import DEFAULT_NODE_BUDGET
 from fricke.predicates import (
     And,
     Not,
@@ -205,6 +220,69 @@ def test_labels_are_computed_or_refused(flavor, num, den, n):
         except ParameterError:
             pass
         assert time.monotonic() - started < CALL_SECONDS, (call.__name__, args)
+
+
+CACHE_QUERIES = [
+    ["probe", "adelic", "--x", "0", "--m", "6"],
+    ["probe", "padic", "--y", "1/3", "--targets", "3:2"],
+    ["scan", "congruence", "--flavor", "gamma0", "--N", "5"],
+]
+# a depth-2 run of (6/11, 6) has 19 records, one line each after the first
+RECORD_LINES = "".join(f"0\t{ch}\n" for ch in "AaBb") + "1\tA\n" * 14
+BAD_TRUNCATED = ["", "2", "7", "-1", "01", "00", "true", "9" * 30]
+BAD_RECORDS = ["", "0", "-1", "-19", "18", "20", "019", "+19", " 19", "1_9", "19x", "9" * 23,
+               "9" * 5000]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(CACHE_QUERIES),
+       st.one_of(st.tuples(st.sampled_from(BAD_TRUNCATED), st.sampled_from(["19", *BAD_RECORDS])),
+                 st.tuples(st.sampled_from(["0", "1"]), st.sampled_from(BAD_RECORDS))),
+       st.integers(0, 3))
+def test_cli_refuses_a_bad_cache_header(query, values, cut):
+    truncated, records = values
+    header = (f"#orbit u2=6/11 twot=6 depth=2 budget={DEFAULT_NODE_BUDGET} "
+              f"truncated={truncated} records={records}\n")
+    # cut > 0 ends the file inside the header, that many characters early
+    text = header[:-cut] if cut else header + RECORD_LINES
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "orbits.cache"
+        path.write_text(text, encoding="ascii")
+        argv = [*query, "--u2", "6/11", "--twot", "6", "--depth", "2", "--cache", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        started = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert time.monotonic() - started < CALL_SECONDS, argv
+    assert code == 2, (text[-80:], err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
+WITNESSES = st.builds(
+    Witness,
+    detail=st.just(""),
+    predicate=st.none(),
+    kind=_flag(st.sampled_from([SQUARE_OBSTRUCTION, TWO_PRIME_OBSTRUCTION, INTEGER_T_VIOLATION,
+                                SPECIAL_POINT]), ["", "special", "SQUARE_OBSTRUCTION"]),
+    primes=st.lists(st.sampled_from([2, 3, 5, 11, 97, 0, -3, 4, 10 ** 30]), max_size=3)
+    .map(tuple),
+    word=st.none() | st.text("AaBbx", max_size=10),
+    point=st.none() | st.just(INFINITY)
+    | st.builds(ProjPoint, st.integers(-20, 20), st.integers(-5, 20)),
+    clause=st.none() | st.sampled_from(["a", "b", "c", "", "d"]),
+    branch=st.none() | st.integers(-1, 3),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(WITNESSES, st.sampled_from(GROUPS + [make_group(1, 6)]))
+def test_recheck_witness_answers_or_refuses(w, g):
+    started = time.monotonic()
+    try:
+        assert isinstance(recheck_witness(g, w), bool)
+    except ParameterError:
+        pass
+    assert time.monotonic() - started < CALL_SECONDS, w
 
 
 def test_package_source_is_float_free_and_stdlib_only():

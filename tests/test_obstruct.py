@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,8 +10,12 @@ from fricke.errors import EmptyPredicateError, ParameterError
 from fricke.exactnum import INFINITY, is_prime, parse_point, point_of, residue_mod_pk, vp_pair
 from fricke.groups import apply, make_group
 from fricke.obstruct import (
+    INTEGER_T_VIOLATION,
     NO_KNOWN_OBSTRUCTION,
     NOT_PSEUDOMODULAR,
+    SPECIAL_POINT,
+    SQUARE_OBSTRUCTION,
+    TWO_PRIME_OBSTRUCTION,
     IntegerTReport,
     InvarianceResult,
     candidate_predicates,
@@ -23,6 +28,7 @@ from fricke.obstruct import (
     recheck_witness,
     relevant_primes,
     verify_invariance,
+    Witness,
 )
 from fricke import invariance, obstruct
 from fricke.invariance import SetDecider
@@ -200,8 +206,6 @@ def test_invariance_empty_predicate():
 def test_invariance_rejects_bad_sample_count():
     with pytest.raises(ParameterError):
         verify_invariance(neg_valuation(3), FLAGSHIP, 0, seed=0)
-    with pytest.raises(ParameterError):
-        verify_invariance(neg_valuation(3), FLAGSHIP, 10, seed=0, bound=0)
 
 
 def test_invariance_counterexamples_agree_with_projective_action():
@@ -241,7 +245,7 @@ def _sample_in_predicate(rng, test, bound):
             )
 
 
-def _verify_oracle(pred, g, n, seed, bound=obstruct.SAMPLE_BOUND):
+def _verify_oracle(pred, g, n, seed, bound):
     """verify_invariance drawing through rng.randint, one sample per call."""
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
@@ -294,17 +298,20 @@ ORACLE_GROUPS = [
 
 @pytest.mark.parametrize("u2, two_t, bound", ORACLE_GROUPS)
 def test_verify_invariance_agrees_with_randint_oracle(monkeypatch, u2, two_t, bound):
-    # a smaller retry limit keeps empty candidates cheap; both sides read it
+    # a smaller retry limit keeps empty candidates cheap; both sides read it,
+    # and verify_invariance reads its sample bound when called
+    default_bound = obstruct.SAMPLE_BOUND
     monkeypatch.setattr(obstruct, "_RETRY_LIMIT", 2000)
+    monkeypatch.setattr(obstruct, "SAMPLE_BOUND", bound)
     g = make_group(u2, two_t)
     empty = 0
     for pred in candidate_predicates([2, 3, 5])[::7]:
         for seed in (0, 1, 4711):
             expected = _verify_outcome(_verify_oracle, pred, g, 200, seed, bound)
-            got = _verify_outcome(verify_invariance, pred, g, 200, seed, bound)
+            got = _verify_outcome(verify_invariance, pred, g, 200, seed)
             assert got == expected, (str(pred), seed)
             empty += not isinstance(expected, InvarianceResult)
-    assert empty or bound == obstruct.SAMPLE_BOUND
+    assert empty or bound == default_bound
 
 
 # ---------------------------------------------------------------- miner
@@ -551,3 +558,39 @@ def test_every_witness_rechecks_across_a_sweep():
         verdict = classify(g, special_budget=4)
         for w in verdict.obstructions:
             assert recheck_witness(g, w), (g.name, w.kind)
+            assert recheck_witness(g, _rebuilt(w)), (g.name, w.kind)
+    # forged: a clause (c) violation at a prime that does not divide t, and
+    # the square obstruction of (1/4, 4) with the branch that does not fire
+    forged = [
+        (make_group(1, 6), Witness(kind=INTEGER_T_VIOLATION, clause="c", primes=(97,))),
+        (make_group(Fraction(1, 4), 4), Witness(kind=SQUARE_OBSTRUCTION, primes=(2,), branch=2)),
+    ]
+    for g, w in forged:
+        assert not recheck_witness(g, w), (g.name, w)
+        assert not recheck_witness(g, _rebuilt(w)), (g.name, w)
+
+
+def _rebuilt(w):
+    """The witness as the benchmark's classify check rebuilds it from the
+    structured output: from to_dict(), without detail and predicate."""
+    d = json.loads(json.dumps(w.to_dict()))
+    return Witness(
+        kind=d["kind"],
+        primes=tuple(d["primes"]),
+        word=d.get("word"),
+        point=parse_point(d["point"]) if "point" in d else None,
+        clause=d.get("clause"),
+        branch=d.get("branch"),
+    )
+
+
+@pytest.mark.parametrize("w", [
+    Witness(kind=SQUARE_OBSTRUCTION, branch=1),
+    Witness(kind=TWO_PRIME_OBSTRUCTION, primes=(3, 5, 7)),
+    Witness(kind=SPECIAL_POINT, point=parse_point("3/7")),
+    Witness(kind=SPECIAL_POINT, word="AB"),
+    Witness(kind="unknown_kind", primes=(3,)),
+])
+def test_recheck_refuses_a_malformed_witness(w):
+    with pytest.raises(ParameterError):
+        recheck_witness(make_group(Fraction(1, 15), 4), w)
