@@ -2,8 +2,10 @@
 
 Exit codes: 0 for a computed verdict / Found / completed scan, 1 when the
 reader closed stdout before the report was written, 2 for invalid input, 3
-for a probe that exhausted its budget without finding anything (evidence,
-not proof). Structured output is a single JSON document with a stable field
+for a probe that found nothing: either a proven miss (the ball's point mod
+the targets' level is outside the cusp orbit there, and no search ran) or
+a search that exhausted its depth or budget (evidence, not proof). A
+query decided by the cusp orbit mod its level opens no --cache file. Structured output is a single JSON document with a stable field
 order; byte-identical runs are byte-identical reports except for the
 timing_ms field.
 
@@ -185,6 +187,12 @@ def _cmd_probe(args, g, config):
             f" = {format_rational(result.base_point)} + {result.offset} * 2t",
             f"witness word {result.witness or '<empty>'}",
         ]
+    elif result.proven:
+        lines = [
+            f"not found: the ball lies in the point {result.to_dict()['point']} mod"
+            f" {result.level}, which no cusp reaches",
+            "negative result is proven by the cusp orbit mod the level; no search ran",
+        ]
     else:
         lines = [
             f"not found at depth {args.depth}"
@@ -203,11 +211,16 @@ def _cmd_congruence(args, g, config):
         f"labels at level {miss.level} ({args.flavor}): "
         f"{payload['total_labels']} total, {payload['hit_count']} hit",
     ]
+    if miss.decided:
+        lines.append(f"decided by the cusp orbit mod {miss.level}; no search ran")
     if miss.truncated:
         lines.append("warning: orbit enumeration truncated by budget")
     if miss.unhit:
+        proven = set(payload["proven_unhit"])
         lines.append("unhit labels:")
-        lines.extend(f"  - {lbl}" for lbl in payload["unhit"])
+        lines.extend(f"  - {lbl}" + (" (proven)" if lbl in proven else "") for lbl in payload["unhit"])
+        if len(proven) < len(miss.unhit):
+            lines.append("unhit labels not marked proven are evidence only")
     else:
         lines.append("unhit labels:  none")
     return payload, lines, 0

@@ -18,10 +18,20 @@ from functools import cache
 from math import gcd
 from typing import NamedTuple
 
-from .errors import ParameterError
-from .exactnum import ProjPoint, format_rational, prime_factors, reduce_point
-from .groups import FrickeGroup
-from .orbitsearch import DEFAULT_NODE_BUDGET, cusp_bfs
+from .errors import InternalCheckError, ParameterError
+from .exactnum import (
+    INFINITY,
+    ProjPoint,
+    _chart,
+    _least_point,
+    format_rational,
+    p1_reduce,
+    point_of,
+    prime_factors,
+    reduce_point,
+)
+from .groups import FrickeGroup, apply, word_matrix
+from .orbitsearch import DEFAULT_NODE_BUDGET, OrbitClosure, cusp_bfs, orbit_closure
 
 GAMMA = "gamma"
 GAMMA0 = "gamma0"
@@ -43,44 +53,8 @@ MISS_SCAN_MAX_STEPS = 4_000_000
 GAMMA0_KEYS_MAX_LEVEL = 10 ** 5
 
 # ---------------------------------------------------------------------------
-# P1(Z/N): canonical representatives
+# P1(Z/N): the points at one level
 # ---------------------------------------------------------------------------
-
-def _chart(a: int, c: int, n: int) -> tuple[int, int]:
-    """Chart (g, e) of the point (a : c) of P1(Z/n): g = gcd(a, n) and
-    e = c*(a/g)^-1 mod n/g, for a, c taken mod n with gcd(a, c, n) = 1.
-
-    (a : c) = (g : x) exactly for the x = e mod n/g with gcd(x, g) = 1. The
-    units u with u*a = g mod n are the unit lifts of (a/g)^-1 mod n/g, which
-    exist; each has u*c = e mod n/g and gcd(u*c, g) = gcd(a, c, n) = 1.
-    Conversely, fix one such u, y = u*c and such an x. For p^k || n let t = 1
-    mod p^k if p does not divide g (then p^k | n/g, so x = y mod p^k), else
-    t = x/y mod p^k (x, y are prime to g), which is 1 mod the p-part of n/g.
-    By CRT t is a unit mod n with t*g = g and t*y = x: t*u takes (a : c) to (g : x).
-    """
-    a, c = a % n, c % n
-    if gcd(a, c, n) != 1:
-        raise ParameterError(f"({a} : {c}) is not primitive mod {n}")
-    g = gcd(a, n)
-    return g, c * pow(a // g, -1, n // g) % (n // g)
-
-
-def _least_point(g: int, e: int, n: int) -> tuple[int, int]:
-    """Least pair of the point with chart (g, e): its first coordinates all have
-    gcd g with n, and its pairs with first coordinate g are the (g, x) of _chart."""
-    return g % n, next(x for x in range(e, n, n // g) if gcd(x, g) == 1)
-
-
-def p1_reduce(a: int, c: int, n: int) -> tuple[int, int]:
-    """Canonical representative of the point (a : c) of P1(Z/n).
-
-    Requires gcd(a, c, n) = 1. The representative has first coordinate a
-    divisor g of n and is the least pair in its unit-scaling class.
-    """
-    if n < 1:
-        raise ParameterError(f"level must be >= 1, got {n}")
-    return _least_point(*_chart(a, c, n), n)
-
 
 def p1_points(n: int) -> list[tuple[int, int]]:
     """All canonical representatives of P1(Z/n), sorted: one per chart (g, e),
@@ -204,9 +178,12 @@ def label_of_pair(flavor: str, num: int, den: int, n: int) -> OrbitLabel:
 class MissReport(NamedTuple):
     """Which labels at level base**exponent the cusp set reaches.
 
-    hit maps each reached label to a witness (cusp representative,
-    translation multiple); an unhit label at finite depth is evidence of a
-    missed orbit, not proof.
+    hit maps each reached label to a witness (cusp representative c0,
+    translation multiple k): the cusp c0 + k*2t carries the label. proven
+    lists the unhit labels that the cusp orbit mod the level, or mod a
+    divisor of it, does not reach: no cusp carries them. decided says that
+    the orbit decided every label, so no search ran and proven is all of
+    unhit. Any other unhit label is evidence from a search of finite depth.
     """
 
     u2: Fraction
@@ -220,6 +197,8 @@ class MissReport(NamedTuple):
     truncated: bool
     hit: dict
     unhit: tuple[OrbitLabel, ...]
+    decided: bool = False
+    proven: tuple[OrbitLabel, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -235,48 +214,76 @@ class MissReport(NamedTuple):
             "total_labels": len(self.hit) + len(self.unhit),
             "hit_count": len(self.hit),
             "unhit": [str(lbl) for lbl in self.unhit],
+            "decided": self.decided,
+            "proven_unhit": [str(lbl) for lbl in self.proven],
         }
 
 
-def miss_scan(
-    g: FrickeGroup,
-    flavor: str,
-    n: int,
-    j: int,
-    depth: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-    cache_path: str | None = None,
-) -> MissReport:
-    """Compute labels of all enumerated cusps and their translates at level
-    n**j and report hit and unhit labels.
+def _closure_label(flavor: str, a: int, c: int, n: int) -> OrbitLabel:
+    """The label of a class key (a, c) of an orbit closure at level n."""
+    if flavor == GAMMA:  # a and c are residues, not a pair in lowest terms
+        return OrbitLabel(GAMMA, n, min((a, c), ((-a) % n, (-c) % n)))
+    return label_of_pair(GAMMA0, a, c, n)
 
-    With 2t = p/q and level L, the translates c + k*2t and c + (k + P)*2t
-    with P = q*L/gcd(L, p) differ by lcm(L, p), an integer divisible by L,
-    so the label of c + k*2t has period P in k. The first k of every label
-    therefore lies in [0, P), and exactly one period is enumerated per cusp.
-    The translates are integer pairs; when q = 1 they are already in lowest
-    terms, (a + k*p*b, b) for the cusp a/b, and reach exactly the pairs
-    (r, b) mod L with r = a mod gcd(p*b, L), as the multiples of p*b mod L
-    form a group of order L/gcd(p*b, L), which divides P. A cusp with a key
-    (a mod gcd(p*b, L), b mod L) scanned before is the first to hit no label,
-    so skipping it leaves hit, its order and witnesses, and unhit unchanged.
+
+def _proven_unhit(closure: OrbitClosure, flavor: str,
+                  unhit: tuple[OrbitLabel, ...]) -> tuple[OrbitLabel, ...]:
+    """The unhit labels whose reduction to the closure's level it misses: a
+    gamma pair whose U_S-class is not reached, or a gamma0 orbit none of
+    whose points mod that level is reached."""
+    d = closure.level
+    if flavor == GAMMA:
+        return tuple(lbl for lbl in unhit if lbl.key not in closure)
+    if d < 2:
+        return ()
+    reached = {label_of_pair(GAMMA0, a, c, d) for a, c in closure.parents}
+    return tuple(lbl for lbl in unhit if label_of_pair(GAMMA0, *lbl.key, d) not in reached)
+
+
+def _closure_hits(g: FrickeGroup, closure: OrbitClosure, flavor: str) -> dict:
+    """Each label the closure reaches, in order of discovery, with a cusp
+    c0 + k*2t that carries it, 0 <= k < period.
+
+    The cusp is w(inf) for the parent word w of the first class with the
+    label, rechecked exactly: its label is computed again from the cusp.
+    The class of infinity, whose word is empty, takes the finite cusp
+    AA(aa(inf) + period*2t) instead: a translate by a whole period has the
+    label of aa(inf), and AA maps that label's class to the class of
+    infinity.
     """
-    _require_level(n)
-    if j < 1:
-        raise ParameterError(f"exponent j must be >= 1, got {j}")
-    level = 1
-    for _ in range(j):  # n >= 2, so this stops within log2(cap) + 1 steps
-        level *= n
-        if level > MISS_SCAN_MAX_LEVEL:
-            raise ParameterError(f"level {n}^{j} must be at most {MISS_SCAN_MAX_LEVEL}")
-    all_labels = enumerate_labels(flavor, level)
-    bfs = cusp_bfs(g, depth, budget, cache_path)
+    n = closure.level
+    p, q = g.two_t.numerator, g.two_t.denominator
+    period = q * n // gcd(n, p)
+    hit: dict[OrbitLabel, tuple[Fraction, int]] = {}
+    for a, c in closure.parents:
+        label = _closure_label(flavor, a, c, n)
+        if label in hit:
+            continue
+        word = closure.word((a, c))
+        if word:
+            x = apply(word_matrix(g, word), INFINITY)
+        else:
+            y = apply(word_matrix(g, "aa"), INFINITY).to_rational() + period * g.two_t
+            x = apply(word_matrix(g, "AA"), point_of(y))
+        k, c0 = divmod(x.to_rational(), g.two_t)
+        k %= period
+        cusp = c0 + k * g.two_t
+        if label_of_pair(flavor, cusp.numerator, cusp.denominator, n) != label:
+            raise InternalCheckError(f"cusp {format_rational(cusp)} does not carry {label}")
+        hit[label] = (c0, k)
+    return hit
+
+
+def _bfs_hits(g: FrickeGroup, flavor: str, level: int, total: int, bfs) -> dict:
+    """The labels that the enumerated cusps and their translates reach, each
+    with its first witness (c0, k) in enumeration order, as miss_scan labels
+    them at a level the cusp orbit does not decide; stops once all total
+    labels at the level are hit."""
     p, q = g.two_t.numerator, g.two_t.denominator
     period = q * level // gcd(level, p)
     if len(bfs.nums) * period > MISS_SCAN_MAX_STEPS:
         raise ParameterError(f"{len(bfs.nums)} records x period {period} = {len(bfs.nums) * period}"
                              f" translate steps must be at most {MISS_SCAN_MAX_STEPS}")
-    total = len(all_labels)
     hit: dict[OrbitLabel, tuple[Fraction, int]] = {}
     label_memo: dict[tuple[int, int], OrbitLabel] = {}
     scanned: set[tuple[int, int]] = set()
@@ -302,9 +309,58 @@ def miss_scan(
             if label not in hit:
                 hit[label] = (Fraction(a, b), k)
                 if len(hit) == total:
-                    break
-        if len(hit) == total:
-            break
+                    return hit
+    return hit
+
+
+def miss_scan(
+    g: FrickeGroup,
+    flavor: str,
+    n: int,
+    j: int,
+    depth: int,
+    budget: int = DEFAULT_NODE_BUDGET,
+    cache_path: str | None = None,
+) -> MissReport:
+    """Report the hit and unhit labels of the cusps at level L = n**j.
+
+    At a level prime to S = g.support_primes, orbit_closure gives the cusp
+    points of P1(Z/L), or for gamma the classes of cusp pairs up to U_S =
+    <-1, p in S> mod L. That decides every gamma0 label, and every gamma
+    label where U_S = {+-1} mod L: such a level runs no search (and reads no
+    cache), and each hit's witness comes from the closure's parent word.
+
+    At any other level the enumerated cusps are labelled: every cusp c and
+    its translates c + k*2t over one exact period of k. With 2t = p/q, the
+    translates c + k*2t and c + (k + P)*2t with P = q*L/gcd(L, p) differ by
+    lcm(L, p), an integer divisible by L, so the label of c + k*2t has
+    period P in k and the first k of every label lies in [0, P). The
+    translates are integer pairs; when q = 1 they are already in lowest
+    terms, (a + k*p*b, b) for the cusp a/b, and reach exactly the pairs
+    (r, b) mod L with r = a mod gcd(p*b, L), as the multiples of p*b mod L
+    form a group of order L/gcd(p*b, L), which divides P. A cusp with a key
+    (a mod gcd(p*b, L), b mod L) scanned before is the first to hit no label,
+    so skipping it leaves hit, its order and witnesses, and unhit unchanged.
+    The unhit labels that the closure misses (at L, or at the divisor of L
+    it takes under its cap) are marked proven.
+    """
+    _require_level(n)
+    if j < 1:
+        raise ParameterError(f"exponent j must be >= 1, got {j}")
+    level = 1
+    for _ in range(j):  # n >= 2, so this stops within log2(cap) + 1 steps
+        level *= n
+        if level > MISS_SCAN_MAX_LEVEL:
+            raise ParameterError(f"level {n}^{j} must be at most {MISS_SCAN_MAX_LEVEL}")
+    all_labels = enumerate_labels(flavor, level)
+    closure = orbit_closure(g, level, vectors=flavor == GAMMA)
+    decided = (closure is not None and closure.level == level
+               and (flavor == GAMMA0 or closure.units <= {1, level - 1}))
+    if decided:
+        hit, truncated = _closure_hits(g, closure, flavor), False
+    else:
+        bfs = cusp_bfs(g, depth, budget, cache_path)
+        hit, truncated = _bfs_hits(g, flavor, level, len(all_labels), bfs), bfs.truncated
     unhit = tuple(lbl for lbl in all_labels if lbl not in hit)
     return MissReport(
         u2=g.u2,
@@ -315,7 +371,9 @@ def miss_scan(
         level=level,
         depth=depth,
         budget=budget,
-        truncated=bfs.truncated,
+        truncated=truncated,
         hit=hit,
         unhit=unhit,
+        decided=decided,
+        proven=() if closure is None else _proven_unhit(closure, flavor, unhit),
     )

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic helpers: p-adic valuations, residues, points of P1(Q).
+"""Exact rational arithmetic helpers: p-adic valuations, residues, points of P1(Q) and P1(Z/n).
 
 Every quantity in this package is an exact integer or `fractions.Fraction`;
 no floating point is used anywhere. Rationals are kept reduced with positive
@@ -289,6 +289,46 @@ def reduce_point(a: int, c: int) -> ProjPoint:
 def point_of(x: Rational | int) -> ProjPoint:
     x = Fraction(x)
     return ProjPoint(x.numerator, x.denominator)
+
+
+# ---------------------------------------------------------------------------
+# P1(Z/n): canonical representatives
+# ---------------------------------------------------------------------------
+
+def _chart(a: int, c: int, n: int) -> tuple[int, int]:
+    """Chart (g, e) of the point (a : c) of P1(Z/n): g = gcd(a, n) and
+    e = c*(a/g)^-1 mod n/g, for a, c taken mod n with gcd(a, c, n) = 1.
+
+    (a : c) = (g : x) exactly for the x = e mod n/g with gcd(x, g) = 1. The
+    units u with u*a = g mod n are the unit lifts of (a/g)^-1 mod n/g, which
+    exist; each has u*c = e mod n/g and gcd(u*c, g) = gcd(a, c, n) = 1.
+    Conversely, fix one such u, y = u*c and such an x. For p^k || n let t = 1
+    mod p^k if p does not divide g (then p^k | n/g, so x = y mod p^k), else
+    t = x/y mod p^k (x, y are prime to g), which is 1 mod the p-part of n/g.
+    By CRT t is a unit mod n with t*g = g and t*y = x: t*u takes (a : c) to (g : x).
+    """
+    a, c = a % n, c % n
+    if gcd(a, c, n) != 1:
+        raise ParameterError(f"({a} : {c}) is not primitive mod {n}")
+    g = gcd(a, n)
+    return g, c * pow(a // g, -1, n // g) % (n // g)
+
+
+def _least_point(g: int, e: int, n: int) -> tuple[int, int]:
+    """Least pair of the point with chart (g, e): its first coordinates all have
+    gcd g with n, and its pairs with first coordinate g are the (g, x) of _chart."""
+    return g % n, next(x for x in range(e, n, n // g) if gcd(x, g) == 1)
+
+
+def p1_reduce(a: int, c: int, n: int) -> tuple[int, int]:
+    """Canonical representative of the point (a : c) of P1(Z/n).
+
+    Requires gcd(a, c, n) = 1. The representative has first coordinate a
+    divisor g of n and is the least pair in its unit-scaling class.
+    """
+    if n < 1:
+        raise ParameterError(f"level must be >= 1, got {n}")
+    return _least_point(*_chart(a, c, n), n)
 
 
 # ---------------------------------------------------------------------------

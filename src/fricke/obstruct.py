@@ -22,6 +22,7 @@ from .exactnum import (
     format_rational,
     is_prime,
     prime_factors,
+    reduce_point,
     require_prime,
     residue_mod_pk,
     vp,
@@ -92,14 +93,16 @@ def recheck_witness(g: FrickeGroup, w: Witness) -> bool:
     derive one of the same kind, primes, clause and branch (detail and
     predicate are not compared), and a two-prime witness's set, or the
     clause's own, is proven invariant, nonempty and proper. A special point
-    rechecks when its word is hyperbolic and fixes its point. A witness
+    rechecks when its word is hyperbolic and fixes its point, which may be
+    written out of lowest terms or with either sign. A witness
     without the primes, word or point of its kind raises ParameterError.
     """
     if w.kind == SPECIAL_POINT:
         if not isinstance(w.word, str) or not isinstance(w.point, ProjPoint) or w.point == (0, 0):
             raise ParameterError("a special point witness needs a word and a point of P1(Q)")
         m = word_matrix(g, w.word)
-        return classify_element(m) is ElementClass.HYPERBOLIC and apply(m, w.point) == w.point
+        point = reduce_point(*w.point)  # apply returns the point in lowest terms
+        return classify_element(m) is ElementClass.HYPERBOLIC and apply(m, point) == point
     primes = tuple(w.primes)
     arity = {SQUARE_OBSTRUCTION: 1, TWO_PRIME_OBSTRUCTION: 2, INTEGER_T_VIOLATION: len(primes)}
     if arity.get(w.kind) != len(primes):

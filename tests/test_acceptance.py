@@ -341,6 +341,26 @@ def test_criterion_07_miss_scan_evidence():
     )
 
 
+def test_gamma0_closure_agrees_with_the_letter_orbit_oracle():
+    # miss_scan decides gamma0 at every level prime to S from the cusp orbit
+    # of the parity kernel; where every letter is invertible mod the level,
+    # criterion 07's oracle closes (1:0) under the letters instead
+    compared = missed = 0
+    for u2, two_t in [(Fraction(1, 4), 18), (Fraction(6, 11), 6), (Fraction(1, 4), 4),
+                      (Fraction(1, 15), 8), (Fraction(1, 16), 8), (Fraction(5, 3), 6),
+                      (Fraction(1, 4), Fraction(9, 2)), (Fraction(2, 3), Fraction(11, 2))]:
+        g = make_group(u2, two_t)
+        for level in range(2, 60):
+            if any(gcd(m.det(), level) != 1 for m in g.letters.values()):
+                continue
+            report = miss_scan(g, GAMMA0, level, 1, depth=2)
+            assert report.decided
+            assert set(report.unhit) == _gamma0_labels_missed_mod(g, level), (g.name, level)
+            compared += 1
+            missed += len(report.unhit)
+    assert compared > 50 and missed >= 16
+
+
 # -------------------------------------------------------------------------
 # 8. four parity classes among cusp witnesses, no conflicts
 # -------------------------------------------------------------------------

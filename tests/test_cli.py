@@ -304,9 +304,10 @@ def test_cache_file_not_ascii_exit_2(capsys, tmp_path):
 
 
 def test_cache_path_is_a_directory_exit_2(capsys, tmp_path):
+    # level 3 shares 3 with S = {3}: the scan searches, so it opens the cache
     code, out, err = run_cli(
         capsys, "scan", "congruence", "--u2", "1/4", "--twot", "4",
-        "--flavor", "gamma", "--N", "2", "--depth", "3", "--cache", str(tmp_path),
+        "--flavor", "gamma", "--N", "3", "--depth", "3", "--cache", str(tmp_path),
     )
     assert code == 2
     assert out == ""
@@ -321,6 +322,30 @@ def test_cache_path_in_missing_directory_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "cannot write orbit cache" in err
+
+
+def test_a_decided_query_leaves_the_cache_alone(capsys, tmp_path):
+    # the orbit workload's three (1/4, 4) misses are decided by the cusp
+    # orbit mod 8 or mod 4: none reads or writes the cache, even a garbled
+    # one, and a cache file that does not exist is not created
+    garbled = tmp_path / "garbled.cache"
+    garbled.write_bytes(b"#orbit u2=1/4 twot=4 depth=10 budget=20000 truncated=7\n\xff")
+    missing = tmp_path / "missing.cache"
+    queries = [
+        (["probe", "padic", "--u2", "1/4", "--twot", "4", "--y=7/10", "--targets", "2:3",
+          "--depth", "12", "--budget", "20000"], 3),
+        (["probe", "adelic", "--u2", "1/4", "--twot", "4", "--x=-1/6", "--m", "8",
+          "--depth", "10", "--budget", "20000"], 3),
+        (["scan", "congruence", "--u2", "1/4", "--twot", "4", "--flavor", "gamma",
+          "--N", "2", "--j", "2", "--depth", "10", "--budget", "20000"], 0),
+    ]
+    for argv, want in queries:
+        for path in (garbled, missing):
+            code, out, err = run_cli(capsys, *argv, "--cache", str(path), "--format", "structured")
+            assert (code, err) == (want, "")
+            result = json.loads(out)["result"]
+            assert result.get("proven") or result.get("decided")
+    assert garbled.read_bytes().endswith(b"truncated=7\n\xff") and not missing.exists()
 
 
 # ---------------------------------------------------------------- golden output

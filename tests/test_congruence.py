@@ -21,7 +21,7 @@ from fricke.congruence import (
 )
 from fricke.errors import DomainError, ParameterError
 from fricke.exactnum import INFINITY, ProjPoint, point_of, reduce_point
-from fricke import congruence
+from fricke import congruence, orbitsearch
 from fricke.groups import make_group
 from fricke.orbitsearch import cusp_bfs
 
@@ -384,14 +384,15 @@ def test_miss_scan_step_cap(monkeypatch):
     with pytest.raises(ParameterError, match="^70883 records x period 128 = 9073024 translate "
                                              "steps must be at most 4000000$"):
         miss_scan(FLAGSHIP, GAMMA, 256, 1, depth=9)
-    # the cap is on records x period: 2t = 11/2 at level 3 has period 6
+    # the cap is on records x period: 2t = 11/2 at level 4 has period 8 (the
+    # level shares 2 with S = {2, 13}, so the scan labels a search)
     g = make_group(Fraction(2, 3), Fraction(11, 2))
-    steps = len(cusp_bfs(g, 4).nums) * 6
+    steps = len(cusp_bfs(g, 4).nums) * 8
     monkeypatch.setattr(congruence, "MISS_SCAN_MAX_STEPS", steps)
-    assert miss_scan(g, GAMMA, 3, 1, depth=4).level == 3
+    assert miss_scan(g, GAMMA, 2, 2, depth=4).level == 4
     monkeypatch.setattr(congruence, "MISS_SCAN_MAX_STEPS", steps - 1)
     with pytest.raises(ParameterError, match=f"= {steps} translate steps"):
-        miss_scan(g, GAMMA, 3, 1, depth=4)
+        miss_scan(g, GAMMA, 2, 2, depth=4)
 
 
 def test_miss_scan_fractional_translation_period():
@@ -433,10 +434,24 @@ def _brute_miss_scan(g, flavor, level, depth):
 ])
 def test_miss_scan_matches_full_window_oracle(u2, two_t, flavor, n, j):
     g = make_group(u2, two_t)
-    report = miss_scan(g, flavor, n, j, depth=5)
+    report = _labelled_scan(g, flavor, n, j, depth=5)
     hit, unhit = _brute_miss_scan(g, flavor, n ** j, 5)
     assert list(report.hit.items()) == hit
     assert report.unhit == unhit
+
+
+def _labelled_scan(g, flavor, n, j, depth):
+    """miss_scan's report as its BFS labelling gives it: at a level that the
+    cusp orbit decides, where miss_scan runs no search, the labelling path
+    runs on the same case; decided and proven are left at their defaults."""
+    report = miss_scan(g, flavor, n, j, depth=depth)
+    if report.decided:
+        bfs = cusp_bfs(g, depth)
+        labels = enumerate_labels(flavor, report.level)
+        hit = congruence._bfs_hits(g, flavor, report.level, len(labels), bfs)
+        report = report._replace(hit=hit, unhit=tuple(lbl for lbl in labels if lbl not in hit),
+                                 truncated=bfs.truncated)
+    return report._replace(decided=False, proven=())
 
 
 def _every_cusp_miss_scan(g, flavor, n, j, depth):
@@ -478,7 +493,7 @@ def _every_cusp_miss_scan(g, flavor, n, j, depth):
 ])
 def test_miss_scan_skips_only_cusps_that_reach_no_new_pair(u2, two_t, n, j, flavor):
     g = make_group(u2, two_t)
-    report = miss_scan(g, flavor, n, j, depth=6)
+    report = _labelled_scan(g, flavor, n, j, depth=6)
     expected = _every_cusp_miss_scan(g, flavor, n, j, 6)
     assert report == expected
     assert list(report.hit.items()) == list(expected.hit.items())
@@ -497,3 +512,63 @@ def test_miss_scan_flagship_level_33_regression():
     report = miss_scan(FLAGSHIP, GAMMA, 33, 1, depth=8)
     assert not report.truncated
     assert len(report.hit) == 240 and len(report.unhit) == 240
+
+
+# ---------------------------------------------------------------- decided by the cusp orbit
+
+@pytest.mark.parametrize("u2, two_t, flavor, level", [
+    (Fraction(1, 4), 4, GAMMA, 4),
+    (Fraction(1, 4), 4, GAMMA0, 4),
+    (Fraction(5, 3), 6, GAMMA, 6),
+    (Fraction(1, 4), 18, GAMMA, 8),
+    (Fraction(1, 4), 18, GAMMA0, 9),
+    (Fraction(1, 15), 8, GAMMA, 10),
+    (Fraction(1, 9), 6, GAMMA, 9),
+    (Fraction(1, 16), 8, GAMMA, 12),
+    (Fraction(1, 16), 8, GAMMA0, 12),
+    (1, 6, GAMMA, 8),
+    (Fraction(2, 3), Fraction(11, 2), GAMMA0, 11),
+])
+def test_decided_scan_matches_a_complete_full_window_search(u2, two_t, flavor, level):
+    # at these levels a depth-5 full-window search already reaches every
+    # label the cusp orbit reaches, so the two give the same sets
+    g = make_group(u2, two_t)
+    report = miss_scan(g, flavor, level, 1, depth=5)
+    assert report.decided and not report.truncated and report.proven == report.unhit
+    hit, unhit = _brute_miss_scan(g, flavor, level, 5)
+    assert set(report.hit) == {lbl for lbl, _ in hit}
+    assert report.unhit == unhit
+    period = g.two_t.denominator * level // gcd(level, g.two_t.numerator)
+    for label, (c0, k) in report.hit.items():
+        assert 0 <= c0 < g.two_t and 0 <= k < period
+        x = c0 + k * g.two_t
+        assert label_of_pair(flavor, x.numerator, x.denominator, level) == label
+
+
+def test_decided_scan_runs_no_search(monkeypatch):
+    monkeypatch.setattr(congruence, "cusp_bfs", None)
+    report = miss_scan(SQUARE, GAMMA, 2, 2, depth=10)
+    assert report.decided and [str(lbl) for lbl in report.unhit] == ["(1,2) mod 4"]
+    assert report.to_dict()["decided"] and report.to_dict()["proven_unhit"] == ["(1,2) mod 4"]
+
+
+def test_scan_marks_the_unhit_labels_the_cusp_orbit_proves():
+    # level 33 is prime to S = {2} but U_S = <-1, 2> mod 33 has order 10, so
+    # gamma is labelled by a search; all 240 unhit classes are proven missed
+    report = miss_scan(FLAGSHIP, GAMMA, 33, 1, depth=7)
+    assert not report.decided and len(report.unhit) == 240
+    assert report.proven == report.unhit
+    # a level that shares a prime with S proves nothing
+    report = miss_scan(SQUARE, GAMMA, 3, 1, depth=6)
+    assert not report.decided and report.proven == ()
+    assert report.to_dict()["proven_unhit"] == [] and not report.to_dict()["decided"]
+
+
+def test_scan_above_the_closure_cap_proves_at_a_divisor(monkeypatch):
+    # psi(256) = 384 is above the cap: the orbit is closed mod 128, and a
+    # label missed mod 128 is missed mod 256 too
+    report = miss_scan(SQUARE, GAMMA, 2, 8, depth=5)
+    assert not report.decided and report.proven and set(report.proven) <= set(report.unhit)
+    monkeypatch.setattr(orbitsearch, "ORBIT_CLOSURE_MAX_POINTS", 400)
+    full = miss_scan(SQUARE, GAMMA, 2, 8, depth=5)
+    assert set(report.proven) <= set(full.proven) <= set(full.unhit) == set(report.unhit)

@@ -11,8 +11,11 @@ of the P1(Z/N) points or the labels at one level. A CLI query on an orbit
 cache whose matching header has a bad records= or truncated= value, or is
 cut off, ends in exit code 2 without a traceback within CALL_SECONDS.
 recheck_witness returns a bool or raises ParameterError on every generated
-witness. The source guard keeps src/fricke free of floats and of imports
-from outside the standard library.
+witness. orbit_closure closes the cusp orbit at every generated level from
+1 up to a 4,096-bit prime power, at the level or its largest divisor under
+ORBIT_CLOSURE_MAX_POINTS, answers None at a level that shares a prime with
+S, or refuses a level below 1, within CALL_SECONDS. The source guard keeps
+src/fricke free of floats and of imports from outside the standard library.
 """
 
 import ast
@@ -22,6 +25,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -41,7 +45,8 @@ from fricke.obstruct import (
     Witness,
     recheck_witness,
 )
-from fricke.orbitsearch import DEFAULT_NODE_BUDGET
+from fricke.exactnum import prime_factors
+from fricke.orbitsearch import DEFAULT_NODE_BUDGET, ORBIT_CLOSURE_MAX_POINTS, orbit_closure
 from fricke.predicates import (
     And,
     Not,
@@ -222,10 +227,43 @@ def test_labels_are_computed_or_refused(flavor, num, den, n):
         assert time.monotonic() - started < CALL_SECONDS, (call.__name__, args)
 
 
+def _psi(n):
+    return prod(p ** (e - 1) * (p + 1) for p, e in prime_factors(n).items())
+
+
+# 2^4095, 3^2584 and 1000003^204 have 4,096, 4,096 and 4,081 bits
+BIG_LEVELS = [2 ** 4095, 3 ** 2584, 1000003 ** 204, 5 ** 3 * 7 ** 1400, 10 ** 30,
+              2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29, 257, 343, 1331]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(GROUPS + [make_group(1, 6)]),
+       _flag(st.integers(1, 300), [0, -3, *BIG_LEVELS]), st.booleans())
+def test_orbit_closure_closes_or_refuses(g, level, vectors):
+    started = time.monotonic()
+    try:
+        closure = orbit_closure(g, level, vectors)
+    except ParameterError:
+        assert level < 1
+        closure = ()
+    assert time.monotonic() - started < CALL_SECONDS, (g.name, level, vectors)
+    if closure is None:
+        assert gcd(level, prod(g.support_primes)) > 1
+    elif closure != ():
+        d = closure.level
+        assert level % d == 0 and _psi(d) <= ORBIT_CLOSURE_MAX_POINTS
+        if d != level:  # the largest divisor under the cap; psi(n) >= n
+            assert level > ORBIT_CLOSURE_MAX_POINTS or _psi(level) > ORBIT_CLOSURE_MAX_POINTS
+            assert all(_psi(e) > ORBIT_CLOSURE_MAX_POINTS
+                       for e in range(d + 1, ORBIT_CLOSURE_MAX_POINTS + 1) if level % e == 0)
+        assert closure.parents and all(key in closure for key in closure.parents)
+
+
 CACHE_QUERIES = [
     ["probe", "adelic", "--x", "0", "--m", "6"],
     ["probe", "padic", "--y", "1/3", "--targets", "3:2"],
-    ["scan", "congruence", "--flavor", "gamma0", "--N", "5"],
+    # level 4 shares 2 with S = {2}: the scan searches, so it reads the cache
+    ["scan", "congruence", "--flavor", "gamma0", "--N", "4"],
 ]
 # a depth-2 run of (6/11, 6) has 19 records, one line each after the first
 RECORD_LINES = "".join(f"0\t{ch}\n" for ch in "AaBb") + "1\tA\n" * 14

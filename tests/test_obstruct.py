@@ -7,7 +7,15 @@ from math import gcd
 import pytest
 
 from fricke.errors import EmptyPredicateError, ParameterError
-from fricke.exactnum import INFINITY, is_prime, parse_point, point_of, residue_mod_pk, vp_pair
+from fricke.exactnum import (
+    INFINITY,
+    ProjPoint,
+    is_prime,
+    parse_point,
+    point_of,
+    residue_mod_pk,
+    vp_pair,
+)
 from fricke.groups import apply, make_group
 from fricke.obstruct import (
     INTEGER_T_VIOLATION,
@@ -506,6 +514,17 @@ def test_classify_flagship_special_point():
     sp = verdict.obstructions[0]
     assert recheck_witness(FLAGSHIP, sp)
     assert verdict.arithmetic_screen.witness == "AA"
+
+
+def test_special_point_rechecks_out_of_lowest_terms():
+    # classify's witness 14/55 on the flagship, written as (28 : 110) and as
+    # (-14 : -55): apply returns the reduced point, so the recheck compares
+    # with the reduced form of the point as given
+    for point in (ProjPoint(14, 55), ProjPoint(28, 110), ProjPoint(-14, -55)):
+        assert recheck_witness(FLAGSHIP, Witness(kind=SPECIAL_POINT, word="ABabbb", point=point))
+    for point in (ProjPoint(14, 56), ProjPoint(-14, 55)):
+        assert not recheck_witness(FLAGSHIP, Witness(kind=SPECIAL_POINT, word="ABabbb",
+                                                     point=point))
 
 
 def test_classify_modular_subgroup():

@@ -2,17 +2,21 @@ import builtins
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fricke.cli import main
+from fricke.congruence import p1_points
 from fricke.errors import CacheError, DomainError, InternalCheckError, ParameterError
 from fricke.exactnum import (
     INFINITY,
     ProjPoint,
     ball_trace_contains,
+    p1_reduce,
     point_of,
+    prime_factors,
     reduce_point,
     vp,
 )
@@ -32,6 +36,7 @@ from fricke.groups import (
 from fricke import orbitsearch
 from fricke.orbitsearch import (
     DEFAULT_NODE_BUDGET,
+    ORBIT_CLOSURE_MAX_POINTS,
     PADIC_MAX_MODULUS_BITS,
     SPECIAL_SCAN_MAX_LEN,
     CuspRecord,
@@ -45,6 +50,7 @@ from fricke.orbitsearch import (
     cusp_test,
     load_cached_bfs,
     normalize_targets,
+    orbit_closure,
     padic_probe,
     special_point_scan,
 )
@@ -329,8 +335,9 @@ def test_bfs_cache_record_count_too_low_is_an_error(tmp_path, capsys, records, m
     with pytest.raises(CacheError, match=message):
         load_cached_bfs(str(path), FLAGSHIP, 2, DEFAULT_NODE_BUDGET)
     # a short run once reported labels as unhit, with exit 0
+    # level 2 shares a prime with S = {2}, so the scan reads the cache
     code = main(["scan", "congruence", "--u2", "6/11", "--twot", "6", "--flavor", "gamma",
-                 "--N", "3", "--depth", "2", "--cache", str(path)])
+                 "--N", "2", "--depth", "2", "--cache", str(path)])
     assert code == 2
     assert message in capsys.readouterr().err
 
@@ -967,7 +974,7 @@ def test_probes_match_the_per_prime_oracle():
     # primes of num(2t) and den(2t), with some balls centred on a cusp
     rng = random.Random(20)
     dens = [1, 2, 3, 4, 5, 8, 9, 11, 12, 25, 27]
-    hits = misses = 0
+    hits = misses = proven = 0
     for g in ORACLE_GROUPS:
         bfs = cusp_bfs(g, 4)
         cusps = [Fraction(cn, cd) for _, cn, cd in bfs.finite_pairs()]
@@ -984,10 +991,17 @@ def test_probes_match_the_per_prime_oracle():
                 targets = normalize_targets((p, rng.randint(1, 7)) for p in primes)
                 res = padic_probe(g, y, targets, depth=4)
                 want = _oracle_first_hit(bfs, _oracle_padic_offset(g.two_t, y, targets))
-            assert res == want, (g.u2, g.two_t, y, case)
+            if res.proven:
+                # a proven miss ran no search: the oracle's search misses too,
+                # and y's point at the proof's level is the missed point
+                assert not want.found, (g.u2, g.two_t, y, case)
+                assert res.point == p1_reduce(y.numerator, y.denominator, res.level)
+                proven += 1
+            else:
+                assert res == want, (g.u2, g.two_t, y, case)
             hits += res.found
             misses += not res.found
-    assert hits > 300 and misses > 300
+    assert hits > 300 and misses > 300 and proven > 30
 
 
 # ---------------------------------------------------------------- monotonicity
@@ -1017,3 +1031,110 @@ def test_probe_results_are_monotone_in_depth():
         a6 = adelic_probe(MODSUB, x, m, depth=6)
         if a4.found:
             assert (a6.base_point, a6.offset) == (a4.base_point, a4.offset)
+
+
+# ---------------------------------------------------------------- the cusp orbit mod L
+
+CLOSURE_GROUPS = [FLAGSHIP, MODSUB, SQUARE, make_group(Fraction(1, 15), 8),
+                  make_group(Fraction(1, 4), 18), make_group(Fraction(2, 3), Fraction(11, 2)),
+                  make_group(Fraction(1, 3), Fraction(25, 3)), make_group(Fraction(5, 3), 6)]
+
+
+def _psi(n):
+    return n * prod(p + 1 for p in prime_factors(n)) // prod(prime_factors(n))
+
+
+@pytest.mark.parametrize("g", CLOSURE_GROUPS, ids=lambda g: g.name)
+def test_orbit_closure_holds_every_bfs_cusp(g):
+    # every cusp of a depth-4 run and its translates over one label period
+    # reach a class of the closure, as a point of P1(Z/L) and as a vector up
+    # to U_S; and every class's parent word maps inf into it
+    bfs = cusp_bfs(g, 4)
+    p, q = g.two_t.numerator, g.two_t.denominator
+    for level in [*range(1, 17), 25, 27, 33, 35]:
+        for vectors in (False, True):
+            closure = orbit_closure(g, level, vectors)
+            if closure is None:
+                assert gcd(level, prod(g.support_primes)) > 1
+                continue
+            assert closure.level == level
+            for _, a, b in bfs.finite_pairs():
+                for k in range(q * level // gcd(level, p)):
+                    num, den = a * q + k * p * b, b * q
+                    h = gcd(num, den)
+                    assert (num // h, den // h) in closure, (g.name, level, vectors, a, b, k)
+            for key in closure.parents:
+                x = apply(word_matrix(g, closure.word(key)), INFINITY)
+                assert closure.key(x.a, x.c) == key
+
+
+def test_orbit_closure_starts_at_the_four_cosets():
+    # (1/4, 4) mod 8 misses exactly (1 : 2) and (1 : 6), which hold every
+    # y = odd/(2 odd); the start points are inf, A(inf), B(inf), AB(inf)
+    closure = orbit_closure(SQUARE, 8)
+    points = {p1_reduce(a, c, 8) for a, c in closure.parents}
+    assert points == set(p1_points(8)) - {(1, 2), (1, 6)}
+    starts = [w for parent, w in closure.parents.values() if parent is None]
+    assert set(starts) <= set(orbitsearch.COSET_WORDS) and "" in starts
+
+
+@pytest.mark.parametrize("g", CLOSURE_GROUPS, ids=lambda g: g.name)
+def test_orbit_closure_is_none_at_levels_sharing_a_prime_with_s(g):
+    for p in g.support_primes:
+        for level in (p, 2 * p, p ** 3 * 5, p * 10 ** 40):
+            assert orbit_closure(g, level) is None
+            assert orbit_closure(g, level, vectors=True) is None
+
+
+def test_orbit_closure_takes_the_largest_divisor_under_the_cap():
+    cap = ORBIT_CLOSURE_MAX_POINTS
+    for level in (343, 1331, 2 * 5 ** 4, 7 ** 9, 5 ** 3 * 7 ** 2 * 11, 10 ** 30 + 1):
+        closure = orbit_closure(SQUARE, level)
+        divisors = [d for d in range(1, cap + 1) if level % d == 0 and _psi(d) <= cap]
+        assert closure.level == max(divisors), level
+    assert orbit_closure(SQUARE, 125).level == 125 and _psi(125) <= cap
+    with pytest.raises(ParameterError):
+        orbit_closure(SQUARE, 0)
+
+
+def test_square_probe_misses_are_proven_without_a_search(monkeypatch):
+    # the orbit workload's two (1/4, 4) misses: y = odd/(2 odd) at 2:3 and
+    # x = odd/(2 odd) in x + 8Z; no search runs, and a depth-10 search of
+    # the whole ball finds nothing either
+    ys = [Fraction(7, 10), Fraction(-1, 6), Fraction(13, 2), Fraction(-59, 58)]
+    proven = [padic_probe(SQUARE, y, [(2, 3)], depth=12, budget=20_000) for y in ys]
+    proven += [adelic_probe(SQUARE, y, 8, depth=10, budget=20_000) for y in ys]
+    bfs = cusp_bfs(SQUARE, 10, 20_000)
+    for y, res in zip(ys + ys, proven):
+        assert (res.found, res.proven, res.level) == (False, True, 8)
+        assert res.point in {(1, 2), (1, 6)} and res.point == p1_reduce(y.numerator, y.denominator, 8)
+        assert res.to_dict() == {"found": False, "depth": 0, "truncated": False, "proven": True,
+                                 "level": 8, "point": f"({res.point[0]}:{res.point[1]})"}
+        assert not orbitsearch._first_hit(bfs, y, Fraction(8), (2,)).found
+    # a proven miss never calls the search
+    monkeypatch.setattr(orbitsearch, "cusp_bfs", None)
+    assert padic_probe(SQUARE, Fraction(7, 10), [(2, 3), (3, 1)], depth=5).proven
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(CLOSURE_GROUPS), st.integers(0, 400), st.integers(-4, 4),
+       st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 3)),
+                min_size=1, max_size=3),
+       st.integers(-50, 50), st.integers(1, 40))
+def test_no_bfs_cusp_lands_in_a_ball_the_closure_calls_missed(g, index, shift, targets, zn, zd):
+    # the balls around y = c + m*zn hold the cusp c, so neither probe may
+    # prove them empty; a ball around c + zn/zd that is proven empty holds
+    # no cusp of the run
+    records = list(cusp_bfs(g, 4).finite_pairs())
+    _, cn, cd = records[index % len(records)]
+    c = Fraction(cn, cd) + shift * g.two_t
+    targets = normalize_targets(targets)
+    m = prod(p ** k for p, k in targets)
+    assert not padic_probe(g, c + m * zn, targets, depth=0).proven
+    assert not adelic_probe(g, c + m * zn, m, depth=0).proven
+    y = c + Fraction(zn, zd)
+    if padic_probe(g, y, targets, depth=0).proven:
+        primes = tuple(p for p, _ in targets)
+        assert not orbitsearch._first_hit(cusp_bfs(g, 4), y, Fraction(m), primes).found
+    if adelic_probe(g, y, m, depth=0).proven:
+        assert not orbitsearch._first_hit(cusp_bfs(g, 4), y, Fraction(m), ()).found
