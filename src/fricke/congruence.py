@@ -182,8 +182,9 @@ class MissReport(NamedTuple):
     translation multiple k): the cusp c0 + k*2t carries the label. proven
     lists the unhit labels that the cusp orbit mod the level, or mod a
     divisor of it, does not reach: no cusp carries them. decided says that
-    the orbit decided every label, so no search ran and proven is all of
-    unhit. Any other unhit label is evidence from a search of finite depth.
+    the orbit decided every label, so no search ran (depth is 0) and proven
+    is all of unhit. Any other unhit label is evidence from a search of
+    finite depth.
     """
 
     u2: Fraction
@@ -356,8 +357,8 @@ def miss_scan(
     closure = orbit_closure(g, level, vectors=flavor == GAMMA)
     decided = (closure is not None and closure.level == level
                and (flavor == GAMMA0 or closure.units <= {1, level - 1}))
-    if decided:
-        hit, truncated = _closure_hits(g, closure, flavor), False
+    if decided:  # no search ran: depth 0, as for a proven probe miss
+        hit, depth, truncated = _closure_hits(g, closure, flavor), 0, False
     else:
         bfs = cusp_bfs(g, depth, budget, cache_path)
         hit, truncated = _bfs_hits(g, flavor, level, len(all_labels), bfs), bfs.truncated

@@ -450,7 +450,7 @@ def _labelled_scan(g, flavor, n, j, depth):
         labels = enumerate_labels(flavor, report.level)
         hit = congruence._bfs_hits(g, flavor, report.level, len(labels), bfs)
         report = report._replace(hit=hit, unhit=tuple(lbl for lbl in labels if lbl not in hit),
-                                 truncated=bfs.truncated)
+                                 depth=depth, truncated=bfs.truncated)
     return report._replace(decided=False, proven=())
 
 
@@ -534,7 +534,8 @@ def test_decided_scan_matches_a_complete_full_window_search(u2, two_t, flavor, l
     # label the cusp orbit reaches, so the two give the same sets
     g = make_group(u2, two_t)
     report = miss_scan(g, flavor, level, 1, depth=5)
-    assert report.decided and not report.truncated and report.proven == report.unhit
+    assert report.decided and report.proven == report.unhit
+    assert (report.depth, report.truncated) == (0, False)
     hit, unhit = _brute_miss_scan(g, flavor, level, 5)
     assert set(report.hit) == {lbl for lbl, _ in hit}
     assert report.unhit == unhit
