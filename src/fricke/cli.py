@@ -5,9 +5,10 @@ reader closed stdout before the report was written, 2 for invalid input, 3
 for a probe that found nothing: either a proven miss (the ball's point mod
 the targets' level is outside the cusp orbit there, and no search ran) or
 a search that exhausted its depth or budget (evidence, not proof). A
-query decided by the cusp orbit mod its level opens no --cache file. Structured output is a single JSON document with a stable field
-order; byte-identical runs are byte-identical reports except for the
-timing_ms field.
+query decided by the cusp orbit mod its level opens no --cache file.
+Structured output is a single JSON document with a stable field order;
+byte-identical runs are byte-identical reports except for the timing_ms
+field.
 
 Every query is a fresh process, so the obstruction, orbit and congruence
 layers are registered lazily: each module's code runs on its first
@@ -189,7 +190,7 @@ def _cmd_probe(args, g, config):
         ]
     elif result.proven:
         lines = [
-            f"not found: the ball lies in the point {result.to_dict()['point']} mod"
+            f"not found: the ball lies in the point ({result.point[0]}:{result.point[1]}) mod"
             f" {result.level}, which no cusp reaches",
             "negative result is proven by the cusp orbit mod the level; no search ran",
         ]
@@ -218,7 +219,8 @@ def _cmd_congruence(args, g, config):
     if miss.unhit:
         proven = set(payload["proven_unhit"])
         lines.append("unhit labels:")
-        lines.extend(f"  - {lbl}" + (" (proven)" if lbl in proven else "") for lbl in payload["unhit"])
+        lines.extend(f"  - {lbl}" + (" (proven)" if lbl in proven else "")
+                     for lbl in payload["unhit"])
         if len(proven) < len(miss.unhit):
             lines.append("unhit labels not marked proven are evidence only")
     else:

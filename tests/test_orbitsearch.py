@@ -1107,7 +1107,7 @@ def test_square_probe_misses_are_proven_without_a_search(monkeypatch):
     bfs = cusp_bfs(SQUARE, 10, 20_000)
     for y, res in zip(ys + ys, proven):
         assert (res.found, res.proven, res.level) == (False, True, 8)
-        assert res.point in {(1, 2), (1, 6)} and res.point == p1_reduce(y.numerator, y.denominator, 8)
+        assert res.point == p1_reduce(y.numerator, y.denominator, 8) in {(1, 2), (1, 6)}
         assert res.to_dict() == {"found": False, "depth": 0, "truncated": False, "proven": True,
                                  "level": 8, "point": f"({res.point[0]}:{res.point[1]})"}
         assert not orbitsearch._first_hit(bfs, y, Fraction(8), (2,)).found
