@@ -28,11 +28,8 @@ _EXPORTS = {
          "mine_invariants", "verify_invariance"),
         "obstruct",
     ),
-    **dict.fromkeys(
-        ("CuspRecord", "CuspTestResult", "adelic_probe", "cusp_bfs", "cusp_test",
-         "padic_probe", "special_point_scan"),
-        "orbitsearch",
-    ),
+    **dict.fromkeys(("CuspRecord", "adelic_probe", "cusp_bfs", "padic_probe"), "orbitsearch"),
+    **dict.fromkeys(("CuspTestResult", "cusp_test", "special_point_scan"), "pointsearch"),
     **dict.fromkeys(
         ("MissReport", "OrbitLabel", "enumerate_labels", "gamma0_label", "gamma_label",
          "miss_scan"),

@@ -3,16 +3,17 @@
 Exit codes: 0 for a computed verdict / Found / completed scan, 1 when the
 reader closed stdout before the report was written, 2 for invalid input, 3
 for a probe that found nothing: either a proven miss (the ball's point mod
-the targets' level is outside the cusp orbit there, and no search ran) or
-a search that exhausted its depth or budget (evidence, not proof). A
-query decided by the cusp orbit mod its level opens no --cache file.
-Structured output is a single JSON document with a stable field order;
-byte-identical runs are byte-identical reports except for the timing_ms
-field.
+the targets' level is outside the cusp orbit there, and no search ran) or a
+search that exhausted its depth or budget (evidence, not proof). A query
+decided by the cusp orbit mod its level opens no --cache file. A probe
+search stops at its first hit, which reports truncated false and appends no
+run to the cache. Structured output is a single JSON document with a stable
+field order; byte-identical runs are byte-identical reports except for the
+timing_ms field.
 
-Every query is a fresh process, so the obstruction, orbit and congruence
-layers are registered lazily: each module's code runs on its first
-attribute use, and a query executes only the layers its command calls.
+Every query is a fresh process, so the obstruction, point test, orbit and
+congruence layers are registered lazily: each module's code runs on its
+first attribute use, and a query executes only the layers it calls.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def _lazy_layer(name: str):
 
 
 obstruct = _lazy_layer("obstruct")
+pointsearch = _lazy_layer("pointsearch")
 orbitsearch = _lazy_layer("orbitsearch")
 congruence = _lazy_layer("congruence")
 
@@ -229,7 +231,7 @@ def _cmd_congruence(args, g, config):
 
 
 def _cmd_special(args, g, config):
-    pairs = orbitsearch.special_point_scan(g, args.maxlen)
+    pairs = pointsearch.special_point_scan(g, args.maxlen)
     config["maxlen"] = args.maxlen
     payload = {
         "count": len(pairs),

@@ -247,31 +247,35 @@ def _closure_hits(g: FrickeGroup, closure: OrbitClosure, flavor: str) -> dict:
 
     The cusp is w(inf) for the parent word w of the first class with the
     label, rechecked exactly: its label is computed again from the cusp.
-    The class of infinity, whose word is empty, takes the finite cusp
+    A class's w(inf) is its Lambda word applied to its parent's. The class
+    of infinity, whose word is empty, takes the finite cusp
     AA(aa(inf) + period*2t) instead: a translate by a whole period has the
-    label of aa(inf), and AA maps that label's class to the class of
-    infinity.
+    label of aa(inf), and AA maps that label's class to the class of infinity.
     """
     n = closure.level
     p, q = g.two_t.numerator, g.two_t.denominator
     period = q * n // gcd(n, p)
     hit: dict[OrbitLabel, tuple[Fraction, int]] = {}
-    for a, c in closure.parents:
-        label = _closure_label(flavor, a, c, n)
+    mats = {w: tuple(word_matrix(g, w)) for w in {w for _, w in closure.parents.values()}}
+    cusps: dict[tuple[int, int], tuple[int, int]] = {}  # class -> w(inf) = xa/xc, any sign
+    for key, (parent, w) in closure.parents.items():
+        m0, m1, m2, m3 = mats[w]
+        xa, xc = (1, 0) if parent is None else cusps[parent]
+        xa, xc = m0 * xa + m1 * xc, m2 * xa + m3 * xc
+        h = gcd(xa, xc)
+        cusps[key] = xa, xc = xa // h, xc // h
+        label = _closure_label(flavor, *key, n)
         if label in hit:
             continue
-        word = closure.word((a, c))
-        if word:
-            x = apply(word_matrix(g, word), INFINITY)
-        else:
+        if not xc:
             y = apply(word_matrix(g, "aa"), INFINITY).to_rational() + period * g.two_t
-            x = apply(word_matrix(g, "AA"), point_of(y))
-        k, c0 = divmod(x.to_rational(), g.two_t)
+            xa, xc = apply(word_matrix(g, "AA"), point_of(y))
+        k, r = divmod(xa * q, xc * p)  # xa/xc = k*2t + c0 with c0 = r/(xc*q) in [0, 2t)
         k %= period
-        cusp = c0 + k * g.two_t
-        if label_of_pair(flavor, cusp.numerator, cusp.denominator, n) != label:
-            raise InternalCheckError(f"cusp {format_rational(cusp)} does not carry {label}")
-        hit[label] = (c0, k)
+        cusp = reduce_point(r + k * p * xc, xc * q)
+        if label_of_pair(flavor, *cusp, n) != label:
+            raise InternalCheckError(f"cusp {cusp} does not carry {label}")
+        hit[label] = (Fraction(r, xc * q), k)
     return hit
 
 

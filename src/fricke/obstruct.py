@@ -461,7 +461,7 @@ def classify(g: FrickeGroup, special_budget: int) -> Verdict:
     screen on the generators AA and BB (which decides it for every kernel
     word; see arithmeticity_screen), and a special-point scan up to the
     given word length (0 skips the scan)."""
-    from .orbitsearch import special_point_scan
+    from .pointsearch import special_point_scan
 
     if special_budget < 0:
         raise ParameterError(f"special budget must be >= 0, got {special_budget}")

@@ -1,38 +1,34 @@
-"""Cusp orbit runs and their cache, the cusp orbit mod L, cusp and special point
-tests, density probes.
+"""Cusp orbit runs and their cache, the cusp orbit mod L, density probes;
+cusp_test and special_point_scan are re-exported from pointsearch.
 
 The cusp set of a group here is the orbit of infinity. Finite cusps are
 stored by their canonical representative modulo the translation by 2t,
 reduced into [0, 2t), as an integer pair (num, den). One letter step,
-_letter_step, applies a generator to such a pair and reduces the image
-modulo 2t = p/q with one integer floor division and one gcd; cusp_bfs,
-cusp_test and the orbit cache loader all use it.
+pointsearch._letter_step, applies a generator to such a pair and reduces
+the image modulo 2t; cusp_bfs, the probes and the cache loader use it.
 
 A run of cusp_bfs is stored column-wise: the reduced representative of
 each record, plus the parent index, letter and translation multiple that
 produced it. Level and parity bits follow from the parent chain, and
 witness words, adjusted by powers of the parabolic word so that they map
 infinity to the stored representative exactly, are built from it only when
-a caller needs one; the probes read only the integer columns until they
-have a hit. The cache file is append-only and holds one block per run: the
-parent index and letter of each record after infinity. A load replays the
-letter step on each record's parent, so every loaded record is the exact
-image of its parent.
+a caller needs one. A run grows one level at a time, and a probe stops
+after the level of its first hit. The cache file is append-only and holds
+one block per run: the parent index and letter of each record after
+infinity. A load replays the letter step on each record's parent, so every
+loaded record is the exact image of its parent.
 
 orbit_closure reduces the cusp orbit mod a level L prime to the support
 primes: the finite set of points of P1(Z/L) that cusps reach, each with a
 parent word. A probe checks its ball against it before any search.
 
-Positive probe answers (Found, Cusp, Special) are sound and re-verified
-before being returned. A probe miss whose ball lies in a point that the
-orbit mod L does not reach is proven, and runs no search; every other
-negative answer (a miss after a search, Unknown) is evidence bounded by the
-search depth.
+Positive probe answers are sound and re-verified before being returned. A
+probe miss whose ball lies in a point that the orbit mod L does not reach
+is proven, and runs no search; a miss after a search is evidence bounded
+by the search depth.
 """
-
 from __future__ import annotations
 
-import heapq
 import os
 import re
 from fractions import Fraction
@@ -41,30 +37,12 @@ from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CacheError, InternalCheckError, ParameterError
-from .exactnum import (
-    INFINITY,
-    ProjPoint,
-    Rational,
-    format_rational,
-    is_prime,
-    p1_reduce,
-    prime_factors,
-    reduce_point,
-    require_prime,
-)
-from .groups import (
-    IDENTITY,
-    LAMBDA_WORDS,
-    PARABOLIC_WORD,
-    TRANSLATION_WORD,
-    ElementClass,
-    FrickeGroup,
-    apply,
-    classify_element,
-    fixed_points,
-    word_matrix,
-)
-from .words import INVERSE, LETTERS, Word, concat, invert_word
+from .exactnum import (INFINITY, ProjPoint, Rational, format_rational, is_prime, p1_reduce,
+                       prime_factors, require_prime)
+from .groups import LAMBDA_WORDS, FrickeGroup, apply, word_matrix
+from .pointsearch import (SPECIAL_SCAN_MAX_LEN, CuspTestResult, _letter_step,  # noqa: F401
+                          _translation_word, cusp_test, special_point_scan)
+from .words import LETTERS, Word, concat
 
 DEFAULT_NODE_BUDGET = 250_000
 
@@ -72,40 +50,6 @@ DEFAULT_NODE_BUDGET = 250_000
 # ---------------------------------------------------------------------------
 # orbit runs as integer columns
 # ---------------------------------------------------------------------------
-
-def _letter_step(
-    m: tuple[int, int, int, int], p: int, q: int, xn: int, xd: int
-) -> tuple[int, int, int] | None:
-    """Apply the letter matrix m to xn/xd (infinity is 1/0) and reduce the
-    image modulo the translation 2t = p/q.
-
-    Returns None when the image is infinity, else (rn, rd, k) with the image
-    equal to rn/rd + k*2t, rn/rd in lowest terms, rd > 0 and rn/rd in [0, 2t).
-    Callers pass m as a plain tuple, not the ProjMatrix that letter_matrix
-    returns: CPython unpacks only an exact tuple on its fast path, and the
-    NamedTuple made the BFS about 10% slower.
-    """
-    a, b, c, d = m
-    yn = a * xn + b * xd
-    yd = c * xn + d * xd
-    if yd == 0:
-        return None
-    if yd < 0:
-        yn, yd = -yn, -yd
-    # floor(y / 2t) and y - k*2t over the common denominator yd*q
-    k = yn * q // (yd * p)
-    rn = yn * q - k * p * yd
-    rd = yd * q
-    h = gcd(rn, rd)
-    return rn // h, rd // h, k
-
-
-def _translation_word(k: int) -> Word:
-    # the parabolic word shifts by -2t, its inverse by +2t
-    if k >= 0:
-        return PARABOLIC_WORD * k
-    return TRANSLATION_WORD * (-k)
-
 
 class CuspRecord(NamedTuple):
     """One cusp with a witness word mapping infinity to it exactly."""
@@ -143,7 +87,7 @@ class BfsResult:
         self.truncated = truncated
         self.nums = nums
         self.dens = dens
-        self._witnesses: list[Word | None] = [""] + [None] * (len(nums) - 1)
+        self._witnesses: dict[int, Word] = {0: ""}
         self.parents = parents
         self.letters = letters
         self.shifts = shifts
@@ -168,7 +112,7 @@ class BfsResult:
         """The witness word of record i, built along its parent chain."""
         ws = self._witnesses
         chain = []
-        while ws[i] is None:
+        while i not in ws:
             chain.append(i)
             i = self.parents[i]
         w = ws[i]
@@ -177,11 +121,10 @@ class BfsResult:
             ws[j] = w
         return w
 
-    def finite_pairs(self) -> Iterator[tuple[int, int, int]]:
-        """(index, numerator, denominator) of every finite record, in order."""
-        return (
-            (i, n, d) for i, (n, d) in enumerate(zip(self.nums, self.dens)) if d != 0
-        )
+    def finite_pairs(self, start: int = 0) -> Iterator[tuple[int, int, int]]:
+        """(index, numerator, denominator) of every finite record from start on, in order."""
+        return ((i, n, d) for i, n, d in zip(range(start, len(self.nums)), self.nums[start:],
+                                             self.dens[start:]) if d != 0)
 
     @property
     def records(self) -> tuple[CuspRecord, ...]:
@@ -328,30 +271,42 @@ def cusp_bfs(
     every other run is computed (or taken from the in-process memo of
     recent runs) and appended to the cache.
     """
+    result = _cached_run(g, depth, budget, cache_path)
+    if result is None:
+        result = _computed_bfs(g, depth, budget)
+        if cache_path:
+            append_bfs_cache(cache_path, result)
+    return result
+
+
+def _cached_run(g: FrickeGroup, depth: int, budget: int, path: str | None) -> BfsResult | None:
+    """Check the run's parameters, then load a matching run from the cache, if any."""
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
     if budget < 1:
         raise ParameterError(f"budget must be >= 1, got {budget}")
-    if cache_path:
-        cached = load_cached_bfs(cache_path, g, depth, budget)
-        if cached is not None:
-            return cached
-    result = _computed_bfs(g, depth, budget)
-    if cache_path:
-        append_bfs_cache(cache_path, result)
-    return result
+    return load_cached_bfs(path, g, depth, budget) if path else None
 
 
 # results are immutable, so the memo of recent runs can share them
 @lru_cache(maxsize=3)
 def _computed_bfs(g: FrickeGroup, depth: int, budget: int) -> BfsResult:
+    return list(_bfs_levels(g, depth, budget))[-1]  # the run after its last level
+
+
+def _bfs_levels(g: FrickeGroup, depth: int, budget: int) -> Iterator[BfsResult]:
+    """Grow one run a level at a time, yielding it after level 0 (infinity)
+    and after each level built; a level the budget cuts is the last, and
+    marks the run truncated. A caller that stops early builds no more."""
     steps = [(ch, tuple(g.letter_matrix(ch)), PARITY_FLIP[ch]) for ch in LETTERS]
     p, q = g.two_t.numerator, g.two_t.denominator
-    nums, dens, parents, letters, shifts = [1], [0], [-1], [""], [0]
+    run = BfsResult(g.u2, g.two_t, depth, budget, False, [1], [0], [-1], [""], [0])
+    nums, dens, parents, letters, shifts = run.nums, run.dens, run.parents, run.letters, run.shifts
     # (num, den) of the reduced representative -> its parity bits; infinity is (1, 0)
     seen: dict[tuple[int, int], int] = {(1, 0): 0}
     truncated = False
     lo, hi = 0, 1  # the records of the previous level
+    yield run
 
     for _ in range(depth):
         if truncated or lo == hi:
@@ -386,175 +341,8 @@ def _computed_bfs(g: FrickeGroup, depth: int, budget: int) -> BfsResult:
                 letters.append(ch)
                 shifts.append(k)
         lo, hi = hi, len(nums)
-
-    return BfsResult(g.u2, g.two_t, depth, budget, truncated, nums, dens, parents, letters, shifts)
-
-
-# ---------------------------------------------------------------------------
-# cusp membership testing
-# ---------------------------------------------------------------------------
-
-class CuspTestResult(NamedTuple):
-    """kind is 'cusp' (witness maps infinity to the point), 'special'
-    (witness is hyperbolic and fixes the point), or 'unknown'."""
-
-    kind: str
-    witness: Word | None = None
-    depth: int = 0
-
-
-def cusp_test(
-    g: FrickeGroup,
-    x: ProjPoint,
-    depth: int,
-    budget: int = 100_000,
-) -> CuspTestResult:
-    """Best-first search from x toward infinity.
-
-    States are translation-reduced; the priority is the denominator of the
-    state, so the search follows a height descent. A letter takes a state s
-    to infinity through a translate when s - j*2t is the letter's pole for
-    some j, so each letter's pole is reduced modulo 2t once. Two distinct
-    arrival words at one state compose to a stabilizer of x; a hyperbolic
-    stabilizer makes x a special point.
-    """
-    if depth < 0:
-        raise ParameterError(f"depth must be >= 0, got {depth}")
-    if budget < 1:
-        raise ParameterError(f"budget must be >= 1, got {budget}")
-    x = reduce_point(*x)
-    if x.is_infinity:
-        return CuspTestResult("cusp", witness="", depth=0)
-
-    p, q = g.two_t.numerator, g.two_t.denominator
-    steps = []
-    for ch in LETTERS:
-        m = tuple(g.letter_matrix(ch))
-        pole, j = None, 0
-        if m[2]:
-            # the pole -d/c of the letter is rep - j*2t
-            rn, rd, k = _letter_step(IDENTITY, p, q, -m[3], m[2])
-            pole, j = (rn, rd), -k
-        steps.append((ch, m, pole, j))
-    n0, d0, k0 = _letter_step(IDENTITY, p, q, x.a, x.c)
-    w0 = _translation_word(k0)
-    # state key -> arrival word (maps x to the state exactly)
-    seen: dict[tuple[int, int], Word] = {(n0, d0): w0}
-    counter = 0
-    heap: list[tuple[int, int, int, int, Word]] = [(d0, 0, counter, n0, w0)]
-    nodes = 0
-    while heap and nodes < budget:
-        sd, d, _, sn, w = heapq.heappop(heap)
-        if d >= depth:
-            continue
-        nodes += 1
-        for ch, m, pole, j in steps:
-            if (sn, sd) == pole:
-                # w' maps x to infinity through the translate s - j*2t
-                witness = invert_word(concat(ch, _translation_word(j), w))
-                if apply(word_matrix(g, witness), INFINITY) != x:
-                    raise InternalCheckError("cusp witness failed verification")
-                return CuspTestResult("cusp", witness=witness, depth=d + 1)
-            rn, rd, k = _letter_step(m, p, q, sn, sd)  # finite: s is not the pole
-            key = (rn, rd)
-            w2 = concat(_translation_word(k), ch, w)
-            w1 = seen.get(key)
-            if w1 is not None:
-                stab = concat(invert_word(w1), w2)
-                if stab:
-                    mat = word_matrix(g, stab)
-                    if (
-                        classify_element(mat) is ElementClass.HYPERBOLIC
-                        and apply(mat, x) == x
-                    ):
-                        return CuspTestResult("special", witness=stab, depth=d + 1)
-                continue
-            seen[key] = w2
-            counter += 1
-            heapq.heappush(heap, (rd, d + 1, counter, rn, w2))
-    return CuspTestResult("unknown", depth=depth)
-
-
-# ---------------------------------------------------------------------------
-# special point scan
-# ---------------------------------------------------------------------------
-
-# Longest word special_point_scan accepts: 15 takes about 5 s on 2 cores.
-SPECIAL_SCAN_MAX_LEN = 15
-_LETTER_RANK = {ch: i for i, ch in enumerate(LETTERS)}
-
-
-def _word_key(w: Word) -> tuple:
-    return (len(w), tuple(_LETTER_RANK[ch] for ch in w))
-
-
-def special_point_scan(g: FrickeGroup, max_len: int) -> list[tuple[ProjPoint, Word]]:
-    """Rational fixed points of hyperbolic words up to the given length.
-
-    Returns (point, word) for every cyclically reduced word of length at
-    most max_len that is hyperbolic with rational fixed points, keeping the
-    shortest witness per point, sorted by witness (length, then letter
-    order) and then point. Monotone in max_len.
-
-    If w = uv then M(vu) = M(u)^-1 M(uv) M(u) up to a scalar, so whether
-    tr^2 - 4 det is a positive square depends only on the necklace (the
-    rotation class) of w. The scan walks the freely reduced prenecklaces by
-    the Fredricksen-Kessler-Maiorana rule over the ranks A < a < B < b: a
-    node of length t and Lyndon period p extends by letters of rank at
-    least that of r = word[t - p], listed in a table by r and the last
-    letter, keeping p on equality and setting it to t + 1 otherwise; it is
-    a necklace, with p distinct rotations, when p divides t. Nodes carry
-    four plain integers with the content divided out and no canonical sign
-    (m and -m share discriminant and fixed points), and check that the
-    determinant is positive. Each cyclically reduced necklace gets one
-    square test; only the few that pass have their p rotations multiplied
-    out and recorded. These rotations are exactly the cyclically reduced
-    words, so the output equals that of a scan over every reduced word.
-
-    A node M tests each child word + L by trace alone; only nodes shorter
-    than max_len - 1 recurse. The child is a cyclically reduced necklace iff
-    its period divides its length and L is not word[0]^-1, and ML = k M' for
-    its reduced M', so det(ML) = k^2 det(M'), tr^2 - 4 det = k^2 disc(M').
-    """
-    if not 1 <= max_len <= SPECIAL_SCAN_MAX_LEN:
-        raise ParameterError(f"scan length must be in 1..{SPECIAL_SCAN_MAX_LEN}, got {max_len}")
-    letters = [(ch, *g.letter_matrix(ch)) for ch in LETTERS]
-    steps = {(r, last): [(ch, la, lb, lc, ld, la * ld - lb * lc, ch == r)
-                         for ch, la, lb, lc, ld in letters[_LETTER_RANK[r]:] if ch != INVERSE[last]]
-             for r in LETTERS for last in LETTERS}
-    best: dict[ProjPoint, Word] = {}
-
-    def record(word: str, p: int, tr: int, det: int) -> None:
-        if det <= 0:
-            raise InternalCheckError(f"word {word} has non-positive determinant")
-        disc = tr * tr - 4 * det
-        if disc > 0 and isqrt(disc) ** 2 == disc:
-            for w in (word[i:] + word[:i] for i in range(p)):
-                for x in fixed_points(word_matrix(g, w)).points:
-                    if not x.is_infinity and (x not in best or _word_key(w) < _word_key(best[x])):
-                        best[x] = w
-
-    def rec(word: str, p: int, a: int, b: int, c: int, d: int) -> None:
-        t, det = len(word), a * d - b * c
-        if det <= 0:
-            raise InternalCheckError(f"word {word} has non-positive determinant")
-        for ch, la, lb, lc, ld, dl, same in steps[word[t - p], word[-1]]:
-            q = p if same else t + 1
-            if (t + 1) % q == 0 and ch != INVERSE[word[0]]:  # cyclically reduced necklace
-                record(word + ch, q, a * la + b * lc + c * lb + d * ld, det * dl)
-            if t + 1 < max_len:
-                a2, b2 = a * la + b * lc, a * lb + b * ld
-                c2, d2 = c * la + d * lc, c * lb + d * ld
-                k = gcd(a2, b2, c2, d2)
-                if k > 1:
-                    a2, b2, c2, d2 = a2 // k, b2 // k, c2 // k, d2 // k
-                rec(word + ch, q, a2, b2, c2, d2)
-
-    for ch, la, lb, lc, ld in letters:
-        record(ch, 1, la + ld, la * ld - lb * lc)
-        if max_len > 1:
-            rec(ch, 1, la, lb, lc, ld)
-    return sorted(best.items(), key=lambda item: (_word_key(item[1]), item[0]))
+        run.truncated = truncated
+        yield run
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +514,8 @@ def orbit_closure(g: FrickeGroup, level: int, vectors: bool = False) -> OrbitClo
 class ProbeResult(NamedTuple):
     """found=True answers are verified exactly before being returned; the
     cusp is base_point + offset*2t with offset the least k >= 0 that hits.
+    The search ends at a hit, not at the budget, so a hit reports
+    truncated=False; depth is the depth asked for.
 
     A proven miss (found=False, proven=True) ran no search: the ball lies in
     the point `point` of P1(Z/level), which no cusp reaches. Any other miss
@@ -778,9 +568,11 @@ def _proven_miss(g: FrickeGroup, x: Fraction, level: int) -> ProbeResult | None:
                        point=p1_reduce(*pair, closure.level))
 
 
-def _first_hit(bfs: BfsResult, y: Fraction, m: Fraction, primes: tuple[int, ...]) -> ProbeResult:
-    """The first cusp c = c0 + k*2t in enumeration order with (c - y)/m
-    integral at every prime (primes empty) or at the given primes.
+def _first_hit(bfs: BfsResult, y: Fraction, m: Fraction, primes: tuple[int, ...],
+               start: int = 0) -> ProbeResult:
+    """The first cusp c = c0 + k*2t in enumeration order, from record start
+    on, with (c - y)/m integral at every prime (primes empty) or at the
+    given primes.
 
     Write c0 = cn/cd, y = yn/yd, m = mn/md and 2t = p/q. Then
     (c0 + k*2t - y)/m = (a*k - b)/d with a = p*cd*yd*md,
@@ -802,7 +594,7 @@ def _first_hit(bfs: BfsResult, y: Fraction, m: Fraction, primes: tuple[int, ...]
     yn, yd = y.numerator, y.denominator
     mn, md = abs(m.numerator), m.denominator
     rad = prod(primes) if primes else 0
-    for i, cn, cd in bfs.finite_pairs():
+    for i, cn, cd in bfs.finite_pairs(start):
         a = p * cd * yd * md
         b = (yn * cd - cn * yd) * q * md
         d = cd * yd * q
@@ -829,9 +621,27 @@ def _first_hit(bfs: BfsResult, y: Fraction, m: Fraction, primes: tuple[int, ...]
             base_point=c0,
             witness=bfs.witness(i),
             depth=bfs.depth,
-            truncated=bfs.truncated,
         )
     return ProbeResult(found=False, depth=bfs.depth, truncated=bfs.truncated)
+
+
+def _search(g: FrickeGroup, y: Fraction, m: Fraction, primes: tuple[int, ...], depth: int,
+            budget: int, cache_path: str | None) -> ProbeResult:
+    """_first_hit over a matching cached run, else over a run grown one
+    level at a time up to the level of the first hit; a hit writes no cache
+    run, and a grown run that ends without one is appended."""
+    cached = _cached_run(g, depth, budget, cache_path)
+    if cached is not None:
+        return _first_hit(cached, y, m, primes)
+    start = 0
+    for run in _bfs_levels(g, depth, budget):
+        result = _first_hit(run, y, m, primes, start)
+        if result.found:
+            return result
+        start = len(run.nums)
+    if cache_path:
+        append_bfs_cache(cache_path, run)
+    return result
 
 
 def adelic_probe(
@@ -860,7 +670,7 @@ def adelic_probe(
     miss = _proven_miss(g, x, level)
     if miss is not None:
         return miss
-    return _first_hit(cusp_bfs(g, depth, budget, cache_path), x, m, ())
+    return _search(g, x, m, (), depth, budget, cache_path)
 
 
 # Largest combined target modulus prod p^k that normalize_targets accepts, in
@@ -912,6 +722,4 @@ def padic_probe(
     if miss is not None:
         return miss
     modulus = Fraction(prod(p ** k for p, k in targets))
-    return _first_hit(
-        cusp_bfs(g, depth, budget, cache_path), y, modulus, tuple(p for p, _ in targets)
-    )
+    return _search(g, y, modulus, tuple(p for p, _ in targets), depth, budget, cache_path)

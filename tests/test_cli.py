@@ -6,14 +6,16 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import fricke
 from fricke.cli import EXIT_STDOUT_CLOSED, main
 from fricke.congruence import MISS_SCAN_MAX_LEVEL
+from fricke.groups import make_group
 from fricke.obstruct import MINER_MAX_PRIMES
-from fricke.orbitsearch import PADIC_MAX_MODULUS_BITS, SPECIAL_SCAN_MAX_LEN
+from fricke.orbitsearch import PADIC_MAX_MODULUS_BITS, SPECIAL_SCAN_MAX_LEN, cusp_bfs
 
 
 def run_cli(capsys, *argv):
@@ -277,12 +279,15 @@ def test_reproducible_structured_output(capsys):
 # ---------------------------------------------------------------- cache
 
 def test_cache_flag_reuse(capsys, tmp_path):
+    # a search that ends without a hit and without a proof (S is empty for
+    # (1, 6), and its cusp orbit mod 9 holds 1/3's point) writes its run
     cache = tmp_path / "orbits.cache"
     args = (
-        "probe", "padic", "--u2", "6/11", "--twot", "6", "--y", "1/4", "--targets", "7:3",
-        "--depth", "5", "--cache", str(cache), "--format", "structured",
+        "probe", "adelic", "--u2", "1", "--twot", "6", "--x", "1/3", "--m", "9",
+        "--depth", "3", "--cache", str(cache), "--format", "structured",
     )
-    _, out1, _ = run_cli(capsys, *args)
+    code, out1, _ = run_cli(capsys, *args)
+    assert code == 3 and "proven" not in structured(out1)["result"]
     assert cache.exists()
     size_after_first = cache.stat().st_size
     _, out2, _ = run_cli(capsys, *args)
@@ -322,6 +327,24 @@ def test_cache_path_in_missing_directory_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "cannot write orbit cache" in err
+
+
+def test_a_probe_hit_writes_no_cache_run(capsys, tmp_path):
+    # the search stops at its hit, so it has no complete run to append: an
+    # existing cache file keeps its bytes, and a missing one is not created
+    existing = tmp_path / "existing.cache"
+    cusp_bfs(make_group(Fraction(6, 11), 6), 2, cache_path=str(existing))
+    before = existing.read_bytes()
+    missing = tmp_path / "missing.cache"
+    for path in (existing, missing):
+        for argv in (["probe", "padic", "--u2", "6/11", "--twot", "6", "--y", "1/4",
+                      "--targets", "7:3", "--depth", "5"],
+                     ["probe", "adelic", "--u2", "1", "--twot", "6", "--x", "1/3", "--m", "9",
+                      "--depth", "8"]):
+            code, out, err = run_cli(capsys, *argv, "--cache", str(path), "--format", "structured")
+            assert (code, err) == (0, "")
+            assert structured(out)["result"]["truncated"] is False
+    assert existing.read_bytes() == before and not missing.exists()
 
 
 def test_a_decided_query_leaves_the_cache_alone(capsys, tmp_path):
@@ -461,39 +484,54 @@ EAGER_LAYERS = {"fricke", "fricke.cli", "fricke.errors", "fricke.exactnum", "fri
                 "fricke.words"}
 
 
-@pytest.mark.parametrize("argv, layers", [
-    ([], set()),
-    (["probe", "adelic", "--u2", "1", "--twot", "6", "--x", "1/3", "--m", "9", "--depth", "4"],
-     {"orbitsearch"}),
-    (["scan", "congruence", "--u2", "1/4", "--twot", "4", "--flavor", "gamma", "--N", "2",
-      "--depth", "4"], {"congruence", "orbitsearch"}),
-    (["classify", "--u2", "1/4", "--twot", "4", "--special-budget", "2"],
-     {"obstruct", "predicates", "orbitsearch"}),
-    (["scan", "special", "--u2", "6/11", "--twot", "6", "--maxlen", "3"], {"orbitsearch"}),
-    (["scan", "mine", "--u2", "1/15", "--twot", "8", "--primes", "3,5"],
-     {"obstruct", "predicates", "invariance"}),
-], ids=["import-only", "probe", "scan-congruence", "classify", "scan-special", "scan-mine"])
-def test_each_command_executes_only_the_layers_it_uses(argv, layers):
-    # a lazily registered module is in sys.modules under another type until
-    # its code runs, and asking its type does not run it
-    code = (
-        "import contextlib, io, json, sys, types\n"
-        "import fricke.cli\n"
-        "argv = json.loads(sys.argv[1])\n"
-        "if argv:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert fricke.cli.main(argv) == 0\n"
+def _fricke_modules(code, *args):
+    """The fricke modules whose code ran, and all that are registered, after
+    code runs in a fresh interpreter. A lazily registered module is in
+    sys.modules under another type until its code runs, and asking its type
+    does not run it."""
+    code += (
+        "import json, sys, types\n"
         "print(json.dumps(sorted(m for m, mod in sys.modules.items()\n"
         "                        if m.startswith('fricke') and type(mod) is types.ModuleType)))\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fricke'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=_source_pythonpath())
-    proc = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     executed, registered = map(json.loads, proc.stdout.splitlines())
-    assert set(executed) == EAGER_LAYERS | {f"fricke.{m}" for m in layers}
-    assert {"fricke.obstruct", "fricke.orbitsearch", "fricke.congruence"} <= set(registered)
+    return set(executed), set(registered)
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ([], set()),
+    (["probe", "adelic", "--u2", "1", "--twot", "6", "--x", "1/3", "--m", "9", "--depth", "4"],
+     {"orbitsearch", "pointsearch"}),
+    (["scan", "congruence", "--u2", "1/4", "--twot", "4", "--flavor", "gamma", "--N", "2",
+      "--depth", "4"], {"congruence", "orbitsearch", "pointsearch"}),
+    (["classify", "--u2", "1/4", "--twot", "4", "--special-budget", "2"],
+     {"obstruct", "predicates", "pointsearch"}),
+    (["scan", "special", "--u2", "6/11", "--twot", "6", "--maxlen", "3"], {"pointsearch"}),
+    (["scan", "mine", "--u2", "1/15", "--twot", "8", "--primes", "3,5"],
+     {"obstruct", "predicates", "invariance"}),
+], ids=["import-only", "probe", "scan-congruence", "classify", "scan-special", "scan-mine"])
+def test_each_command_executes_only_the_layers_it_uses(argv, layers):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import fricke.cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert fricke.cli.main(argv) == 0\n"
+    )
+    executed, registered = _fricke_modules(code, json.dumps(argv))
+    assert executed == EAGER_LAYERS | {f"fricke.{m}" for m in layers}
+    assert {"fricke.obstruct", "fricke.orbitsearch", "fricke.congruence"} <= registered
+
+
+def test_importing_cusp_test_executes_the_point_layer_but_not_the_orbit_layer():
+    executed, _ = _fricke_modules("from fricke import cusp_test\n")
+    assert executed == EAGER_LAYERS - {"fricke.cli"} | {"fricke.pointsearch"}
 
 
 @pytest.mark.parametrize("fmt, first", [("human", "group (6/11, 6)\n"), ("structured", "{\n")])

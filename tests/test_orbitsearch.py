@@ -33,7 +33,7 @@ from fricke.groups import (
     mat_mul,
     word_matrix,
 )
-from fricke import orbitsearch
+from fricke import orbitsearch, pointsearch
 from fricke.orbitsearch import (
     DEFAULT_NODE_BUDGET,
     ORBIT_CLOSURE_MAX_POINTS,
@@ -42,9 +42,6 @@ from fricke.orbitsearch import (
     CuspRecord,
     CuspTestResult,
     ProbeResult,
-    _LETTER_RANK,
-    _letter_step,
-    _word_key,
     adelic_probe,
     cusp_bfs,
     cusp_test,
@@ -54,6 +51,7 @@ from fricke.orbitsearch import (
     padic_probe,
     special_point_scan,
 )
+from fricke.pointsearch import _LETTER_RANK, _letter_step, _word_key
 from fricke.words import INVERSE, LETTERS, concat, parity
 
 FLAGSHIP = make_group(Fraction(6, 11), 6)
@@ -620,7 +618,7 @@ def test_special_scan_matches_the_recursive_scan(monkeypatch, u2, two_t, max_len
         return lambda g, w: log.append(w) or word_matrix(g, w)
 
     expected = _parent_special_scan(g, max_len, logged(expected_words))
-    monkeypatch.setattr(orbitsearch, "word_matrix", logged(words))
+    monkeypatch.setattr(pointsearch, "word_matrix", logged(words))
     assert special_point_scan(g, max_len) == expected
     assert words == expected_words
     assert len(set(words)) == len(words)
@@ -1033,6 +1031,104 @@ def test_probe_results_are_monotone_in_depth():
             assert (a6.base_point, a6.offset) == (a4.base_point, a4.offset)
 
 
+# ---------------------------------------------------------------- streamed probes
+
+STREAM_GROUPS = [FLAGSHIP, MODSUB, SQUARE, FRACTIONAL, make_group(Fraction(1, 15), 8),
+                 make_group(Fraction(2, 3), Fraction(11, 2))]
+
+
+def _check_streamed_search(g, depth, budget, y, m, primes):
+    """The search that stops after the level of its first hit gives the hit
+    of the complete window, with truncated=False even where the budget cuts
+    that window; a miss is the complete window's, truncation included."""
+    full = orbitsearch._computed_bfs(g, depth, budget)
+    want = orbitsearch._first_hit(full, y, m, primes)
+    got = orbitsearch._search(g, y, m, primes, depth, budget, None)
+    assert got == want
+    assert not (got.found and got.truncated)
+    return got.found, full.truncated
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(STREAM_GROUPS), st.integers(0, 6), st.sampled_from([1, 7, 60, 400, 10**6]),
+       st.integers(-40, 40), st.integers(1, 30),
+       st.lists(st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)), max_size=2),
+       st.integers(-12, 12).filter(bool), st.integers(1, 6))
+def test_streamed_probe_matches_the_first_hit_of_the_complete_run(g, depth, budget, yn, yd,
+                                                                  targets, mn, md):
+    y = Fraction(yn, yd)
+    if targets:  # p-adic: the target primes; else adelic: every prime
+        targets = normalize_targets(targets)
+        m, primes = Fraction(prod(p ** k for p, k in targets)), tuple(p for p, _ in targets)
+    else:
+        m, primes = Fraction(mn, md), ()
+    _check_streamed_search(g, depth, budget, y, m, primes)
+
+
+def test_streamed_probe_on_windows_cut_by_the_budget_and_not():
+    # hits and misses, each in windows the budget cuts and in ones it does
+    # not; SQUARE's cusps avoid v_2 = -1, so the ball around 1/2 misses
+    kinds = {_check_streamed_search(g, depth, budget, y, Fraction(4), (2,))
+             for g in (FLAGSHIP, SQUARE) for depth, budget in ((3, 7), (5, 60), (4, 10**6))
+             for y in (Fraction(1, 3), Fraction(-5, 7), Fraction(1, 2))}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_a_probe_hit_builds_no_level_past_its_own(monkeypatch):
+    # the orbit workloads' hits: record 1 of a 20,000-record window cut by
+    # its budget, and record 71 (level 4) of a 22,050-record window
+    built = []
+    levels = orbitsearch._bfs_levels
+
+    def spy(g, depth, budget):
+        for run in levels(g, depth, budget):
+            built.append(len(run.nums))
+            yield run
+        built.append("end")
+
+    for probe, g, depth, budget, want_level, want_records in (
+        (lambda: padic_probe(FLAGSHIP, Fraction(-16, 11), [(5, 3)], 14, 20_000),
+         FLAGSHIP, 14, 20_000, 1, 5),
+        (lambda: adelic_probe(MODSUB, Fraction(1, 3), 9, 8),
+         MODSUB, 8, DEFAULT_NODE_BUDGET, 4, 205),
+    ):
+        full = orbitsearch._computed_bfs(g, depth, budget)
+        built.clear()
+        monkeypatch.setattr(orbitsearch, "_bfs_levels", spy)
+        res = probe()
+        monkeypatch.undo()
+        index = next(i for i, rec in enumerate(full.records)
+                     if rec.witness == res.witness and rec.point == point_of(res.base_point))
+        level = full.records[index].depth
+        assert res.found and not res.truncated and res.depth == depth
+        assert (level, built[-1]) == (want_level, want_records)
+        # one yield per level, up to and including the hit's, and no more
+        assert built == [sum(r.depth <= lv for r in full.records) for lv in range(level + 1)]
+
+
+def test_cached_and_streamed_probes_give_identical_results(monkeypatch, tmp_path):
+    path = str(tmp_path / "orbits.cache")
+    rng = random.Random(27)
+    queries = []
+    for g in (FLAGSHIP, MODSUB, FRACTIONAL):
+        for depth, budget in ((4, DEFAULT_NODE_BUDGET), (6, 300)):
+            cusp_bfs(g, depth, budget, cache_path=path)
+            for _ in range(15):
+                y = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                targets = [(rng.choice([2, 3, 5, 7]), rng.randint(1, 2))]
+                m = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                queries.append((padic_probe, g, y, targets, depth, budget))
+                queries.append((adelic_probe, g, y, m, depth, budget))
+    streamed = [probe(*args) for probe, *args in queries]
+    size = len(open(path, encoding="ascii").read())
+    # the cached runs serve every search: nothing is grown or appended
+    monkeypatch.setattr(orbitsearch, "_bfs_levels", None)
+    assert [probe(*args, path) for probe, *args in queries] == streamed
+    assert len(open(path, encoding="ascii").read()) == size
+    kinds = {(r.found, r.truncated, r.proven) for r in streamed}
+    assert {(True, False, False), (False, True, False), (False, False, False)} <= kinds
+
+
 # ---------------------------------------------------------------- the cusp orbit mod L
 
 CLOSURE_GROUPS = [FLAGSHIP, MODSUB, SQUARE, make_group(Fraction(1, 15), 8),
@@ -1112,7 +1208,7 @@ def test_square_probe_misses_are_proven_without_a_search(monkeypatch):
                                  "level": 8, "point": f"({res.point[0]}:{res.point[1]})"}
         assert not orbitsearch._first_hit(bfs, y, Fraction(8), (2,)).found
     # a proven miss never calls the search
-    monkeypatch.setattr(orbitsearch, "cusp_bfs", None)
+    monkeypatch.setattr(orbitsearch, "_search", None)
     assert padic_probe(SQUARE, Fraction(7, 10), [(2, 3), (3, 1)], depth=5).proven
 
 
