@@ -559,9 +559,8 @@ def test_decided_scan_runs_no_search(monkeypatch):
 def test_decided_scan_derives_each_cusp_from_its_parents(monkeypatch):
     # (1, 6) at level 211 reaches all 22,260 gamma labels. Each class's cusp
     # is its Lambda word applied to its parent's cusp, so the scan multiplies
-    # out a few dozen letters, not each class's whole parent word (71,156
-    # letter products, 0.8 to 1.0 s on 2 cores). The witnesses, in order,
-    # hash to the digest of that word-by-word evaluation
+    # out a few dozen letters, not each class's whole parent word. The
+    # witnesses, in order, hash to the digest of the word-by-word evaluation
     products = []
     monkeypatch.setattr(groups, "mat_mul", lambda m, n: products.append(1) or mat_mul(m, n))
     report = miss_scan(MODSUB, GAMMA, 211, 1, depth=8)

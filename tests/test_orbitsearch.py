@@ -1107,7 +1107,8 @@ def test_a_probe_hit_builds_no_level_past_its_own(monkeypatch):
 
 
 def test_cached_and_streamed_probes_give_identical_results(monkeypatch, tmp_path):
-    path = str(tmp_path / "orbits.cache")
+    cache = tmp_path / "orbits.cache"
+    path = str(cache)
     rng = random.Random(27)
     queries = []
     for g in (FLAGSHIP, MODSUB, FRACTIONAL):
@@ -1120,11 +1121,11 @@ def test_cached_and_streamed_probes_give_identical_results(monkeypatch, tmp_path
                 queries.append((padic_probe, g, y, targets, depth, budget))
                 queries.append((adelic_probe, g, y, m, depth, budget))
     streamed = [probe(*args) for probe, *args in queries]
-    size = len(open(path, encoding="ascii").read())
+    size = cache.stat().st_size
     # the cached runs serve every search: nothing is grown or appended
     monkeypatch.setattr(orbitsearch, "_bfs_levels", None)
     assert [probe(*args, path) for probe, *args in queries] == streamed
-    assert len(open(path, encoding="ascii").read()) == size
+    assert cache.stat().st_size == size
     kinds = {(r.found, r.truncated, r.proven) for r in streamed}
     assert {(True, False, False), (False, True, False), (False, False, False)} <= kinds
 
