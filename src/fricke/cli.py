@@ -6,10 +6,10 @@ for a probe that found nothing: either a proven miss (the ball's point mod
 the targets' level is outside the cusp orbit there, and no search ran) or a
 search that exhausted its depth or budget (evidence, not proof). A query
 decided by the cusp orbit mod its level opens no --cache file. A probe
-search stops at its first hit, which reports truncated false and appends no
-run to the cache. Structured output is a single JSON document with a stable
-field order; byte-identical runs are byte-identical reports except for the
-timing_ms field.
+search opens it, creating it if missing, and stops at its first hit, which
+reports truncated false and appends no run. Structured output is a single
+JSON document with a stable field order; byte-identical runs are
+byte-identical reports except for the timing_ms field.
 
 Every query is a fresh process, so the obstruction, point test, orbit and
 congruence layers are registered lazily: each module's code runs on its

@@ -13,7 +13,8 @@ produced it. Level and parity bits follow from the parent chain, and
 witness words, adjusted by powers of the parabolic word so that they map
 infinity to the stored representative exactly, are built from it only when
 a caller needs one. A run grows one level at a time, and a probe stops
-after the level of its first hit. The cache file is append-only and holds
+after the level of its first hit; the next search with the same parameters
+in the process resumes it there. The cache file is append-only and holds
 one block per run: the parent index and letter of each record after
 infinity. A load replays the letter step on each record's parent, so every
 loaded record is the exact image of its parent.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, NamedTuple
 
@@ -168,9 +169,13 @@ def append_bfs_cache(path: str, result: BfsResult) -> None:
         + f" truncated={int(result.truncated)} records={len(result.nums)}"
     ]
     lines.extend(map(_cache_line, result.parents[1:], result.letters[1:]))
+    _append_cache_text(path, "\n".join(lines) + "\n")
+
+
+def _append_cache_text(path: str, text: str) -> None:  # creates a missing file
     try:
         with open(path, "a", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise CacheError(f"{path}: cannot write orbit cache: {exc}") from None
 
@@ -288,10 +293,27 @@ def _cached_run(g: FrickeGroup, depth: int, budget: int, path: str | None) -> Bf
     return load_cached_bfs(path, g, depth, budget) if path else None
 
 
-# results are immutable, so the memo of recent runs can share them
-@lru_cache(maxsize=3)
+# the runs of the last three parameter sets, with the generators growing
+# them: a search that stops at its hit leaves the rest to the next caller
+_runs: dict[tuple[FrickeGroup, int, int], tuple[BfsResult, Iterator[BfsResult]]] = {}
+
+
 def _computed_bfs(g: FrickeGroup, depth: int, budget: int) -> BfsResult:
-    return list(_bfs_levels(g, depth, budget))[-1]  # the run after its last level
+    return list(_grown_levels(g, depth, budget))[-1]  # the run after its last level
+
+
+def _grown_levels(g: FrickeGroup, depth: int, budget: int) -> Iterator[BfsResult]:
+    """Yield the kept run of these parameters, then grow it a level per yield.
+    A run is kept only between its levels, so a growth that fails is dropped."""
+    key = (g, depth, budget)
+    run, levels = _runs.pop(key, None) or (None, _bfs_levels(g, depth, budget))
+    for run in chain([run] if run else [], levels):
+        _runs[key] = (run, levels)  # the most recently used last
+        if len(_runs) > 3:
+            del _runs[next(iter(_runs))]
+        yield run
+        _runs.pop(key, None)
+    _runs[key] = (run, levels)
 
 
 def _bfs_levels(g: FrickeGroup, depth: int, budget: int) -> Iterator[BfsResult]:
@@ -429,15 +451,6 @@ class OrbitClosure:
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return self.key(*pair) in self.parents
-
-    def word(self, key: tuple[int, int]) -> Word:
-        """The word along the parent chain of a reached class: it maps
-        infinity to a cusp whose lowest-terms pair lies in the class."""
-        parts = []
-        while key is not None:
-            key, w = self.parents[key]
-            parts.append(w)
-        return concat(*parts)
 
 
 def orbit_closure(g: FrickeGroup, level: int, vectors: bool = False) -> OrbitClosure | None:
@@ -628,13 +641,16 @@ def _first_hit(bfs: BfsResult, y: Fraction, m: Fraction, primes: tuple[int, ...]
 def _search(g: FrickeGroup, y: Fraction, m: Fraction, primes: tuple[int, ...], depth: int,
             budget: int, cache_path: str | None) -> ProbeResult:
     """_first_hit over a matching cached run, else over a run grown one
-    level at a time up to the level of the first hit; a hit writes no cache
-    run, and a grown run that ends without one is appended."""
+    level at a time up to the level of the first hit. A search opens the
+    cache file first, creating it if missing; a hit appends no run, and a
+    grown run that ends without one is appended."""
     cached = _cached_run(g, depth, budget, cache_path)
     if cached is not None:
         return _first_hit(cached, y, m, primes)
+    if cache_path:
+        _append_cache_text(cache_path, "")
     start = 0
-    for run in _bfs_levels(g, depth, budget):
+    for run in _grown_levels(g, depth, budget):
         result = _first_hit(run, y, m, primes, start)
         if result.found:
             return result

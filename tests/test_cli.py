@@ -320,18 +320,21 @@ def test_cache_path_is_a_directory_exit_2(capsys, tmp_path):
 
 
 def test_cache_path_in_missing_directory_exit_2(capsys, tmp_path):
-    code, out, err = run_cli(
-        capsys, "probe", "adelic", "--u2", "1", "--twot", "6", "--x", "1/3",
-        "--m", "9", "--depth", "3", "--cache", str(tmp_path / "missing" / "orbits.cache"),
-    )
-    assert code == 2
-    assert out == ""
-    assert "cannot write orbit cache" in err
+    # a search miss (depth 3) and a hit (depth 8): a hit writes no run, but
+    # its search opens the cache file first
+    for depth in ("3", "8"):
+        code, out, err = run_cli(
+            capsys, "probe", "adelic", "--u2", "1", "--twot", "6", "--x", "1/3",
+            "--m", "9", "--depth", depth, "--cache", str(tmp_path / "missing" / "orbits.cache"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot write orbit cache" in err
 
 
 def test_a_probe_hit_writes_no_cache_run(capsys, tmp_path):
     # the search stops at its hit, so it has no complete run to append: an
-    # existing cache file keeps its bytes, and a missing one is not created
+    # existing cache file keeps its bytes, and a missing one is created empty
     existing = tmp_path / "existing.cache"
     cusp_bfs(make_group(Fraction(6, 11), 6), 2, cache_path=str(existing))
     before = existing.read_bytes()
@@ -344,7 +347,7 @@ def test_a_probe_hit_writes_no_cache_run(capsys, tmp_path):
             code, out, err = run_cli(capsys, *argv, "--cache", str(path), "--format", "structured")
             assert (code, err) == (0, "")
             assert structured(out)["result"]["truncated"] is False
-    assert existing.read_bytes() == before and not missing.exists()
+    assert existing.read_bytes() == before and missing.read_bytes() == b""
 
 
 def test_a_decided_query_leaves_the_cache_alone(capsys, tmp_path):

@@ -1,7 +1,5 @@
-import gc
 import hashlib
 import random
-import time
 from fractions import Fraction
 from math import gcd
 
@@ -568,17 +566,6 @@ def test_decided_scan_derives_each_cusp_from_its_parents(monkeypatch):
     assert len(products) < 100
     digest = hashlib.sha256(repr(list(report.hit.items())).encode()).hexdigest()
     assert digest == "324a3e5e2cdd0ea61d8c6fb8f9cbb1cf3bfb23e6685db0a9f88cb2e4c81ddb3a"
-    monkeypatch.undo()
-    times = []
-    gc.disable()  # as timeit does: collections over other tests' objects are not the scan's
-    try:
-        for _ in range(3):
-            start = time.perf_counter()
-            miss_scan(MODSUB, GAMMA, 211, 1, depth=8)
-            times.append(time.perf_counter() - start)
-    finally:
-        gc.enable()
-    assert min(times) < 0.3, times
 
 
 def test_scan_marks_the_unhit_labels_the_cusp_orbit_proves():

@@ -2,6 +2,7 @@ import builtins
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt, prod
 
 import pytest
@@ -1041,8 +1042,9 @@ def _check_streamed_search(g, depth, budget, y, m, primes):
     """The search that stops after the level of its first hit gives the hit
     of the complete window, with truncated=False even where the budget cuts
     that window; a miss is the complete window's, truncation included."""
-    full = orbitsearch._computed_bfs(g, depth, budget)
+    full = list(orbitsearch._bfs_levels(g, depth, budget))[-1]
     want = orbitsearch._first_hit(full, y, m, primes)
+    orbitsearch._runs.clear()  # grow the run afresh
     got = orbitsearch._search(g, y, m, primes, depth, budget, None)
     assert got == want
     assert not (got.found and got.truncated)
@@ -1094,6 +1096,7 @@ def test_a_probe_hit_builds_no_level_past_its_own(monkeypatch):
     ):
         full = orbitsearch._computed_bfs(g, depth, budget)
         built.clear()
+        orbitsearch._runs.clear()
         monkeypatch.setattr(orbitsearch, "_bfs_levels", spy)
         res = probe()
         monkeypatch.undo()
@@ -1120,6 +1123,7 @@ def test_cached_and_streamed_probes_give_identical_results(monkeypatch, tmp_path
                 m = Fraction(rng.randint(1, 9), rng.randint(1, 4))
                 queries.append((padic_probe, g, y, targets, depth, budget))
                 queries.append((adelic_probe, g, y, m, depth, budget))
+    orbitsearch._runs.clear()  # the probes grow their runs afresh
     streamed = [probe(*args) for probe, *args in queries]
     size = cache.stat().st_size
     # the cached runs serve every search: nothing is grown or appended
@@ -1128,6 +1132,56 @@ def test_cached_and_streamed_probes_give_identical_results(monkeypatch, tmp_path
     assert cache.stat().st_size == size
     kinds = {(r.found, r.truncated, r.proven) for r in streamed}
     assert {(True, False, False), (False, True, False), (False, False, False)} <= kinds
+
+
+def test_searches_with_the_same_parameters_grow_one_run(monkeypatch):
+    # a search resumes the run where the last one stopped at its hit, a
+    # miss leaves it complete for cusp_bfs, and no level is built twice
+    built = []
+    levels = orbitsearch._bfs_levels
+
+    def spy(g, depth, budget):
+        for run in levels(g, depth, budget):
+            built.append(len(run.nums))
+            yield run
+
+    rng = random.Random(5)
+    balls = [(Fraction(rng.randint(-30, 30), rng.randint(1, 12)), Fraction(5 ** rng.randint(1, 3)),
+              (5,)) for _ in range(40)]
+    balls.append((Fraction(1, 2), Fraction(4, 7), ()))
+    orbitsearch._runs.clear()
+    monkeypatch.setattr(orbitsearch, "_bfs_levels", spy)
+    got = [orbitsearch._search(FLAGSHIP, y, m, primes, 6, 2_000, None) for y, m, primes in balls]
+    full = cusp_bfs(FLAGSHIP, 6, 2_000)
+    monkeypatch.undo()
+    assert built == sorted(set(built)) and built[-1] == len(full.nums)
+    assert got == [orbitsearch._first_hit(full, y, m, primes) for y, m, primes in balls]
+    assert {r.found for r in got} == {True, False} and got[-1].truncated
+
+
+def test_the_runs_of_the_last_three_parameter_sets_are_kept():
+    orbitsearch._runs.clear()
+    for depth in range(1, 6):
+        orbitsearch._computed_bfs(MODSUB, depth, DEFAULT_NODE_BUDGET)
+    orbitsearch._computed_bfs(MODSUB, 3, DEFAULT_NODE_BUDGET)  # the most recently used last
+    assert [key[1] for key in orbitsearch._runs] == [4, 5, 3]
+
+
+def test_a_failed_growth_is_not_resumed(monkeypatch):
+    # a run whose growth raised is dropped: the next caller grows it afresh
+    def failing(g, depth, budget):
+        yield from islice(levels(g, depth, budget), 2)
+        raise InternalCheckError("parity")
+
+    levels = orbitsearch._bfs_levels
+    orbitsearch._runs.clear()
+    monkeypatch.setattr(orbitsearch, "_bfs_levels", failing)
+    with pytest.raises(InternalCheckError):
+        orbitsearch._computed_bfs(MODSUB, 5, DEFAULT_NODE_BUDGET)
+    assert not orbitsearch._runs
+    monkeypatch.undo()
+    assert orbitsearch._computed_bfs(MODSUB, 5, DEFAULT_NODE_BUDGET) == \
+        list(levels(MODSUB, 5, DEFAULT_NODE_BUDGET))[-1]
 
 
 # ---------------------------------------------------------------- the cusp orbit mod L
@@ -1161,7 +1215,12 @@ def test_orbit_closure_holds_every_bfs_cusp(g):
                     h = gcd(num, den)
                     assert (num // h, den // h) in closure, (g.name, level, vectors, a, b, k)
             for key in closure.parents:
-                x = apply(word_matrix(g, closure.word(key)), INFINITY)
+                # the word along the parent chain maps infinity into the class
+                word, parent = "", key
+                while parent is not None:
+                    parent, w = closure.parents[parent]
+                    word += w
+                x = apply(word_matrix(g, word), INFINITY)
                 assert closure.key(x.a, x.c) == key
 
 
